@@ -1,6 +1,5 @@
-//! Pool-scaling benchmark: the 1 → N thread curve for both pool-driven
-//! solve paths — the shard-parallel 1-D dedup DP and the τ-sweep of the
-//! `(1+ε)` scheme — with every timed run first checked bit-identical to
+//! Pool-scaling benchmark: the 1 → N thread curve for the τ-sweep of the
+//! `(1+ε)` scheme, with every timed run first checked bit-identical to
 //! the single-thread reference. Results land in `BENCH_parallel.json`
 //! at the repo root so the scaling trajectory accumulates across PRs.
 //!
@@ -9,18 +8,11 @@
 //! parallel efficiency `speedup / 4` must reach 0.7, unless
 //! `WSYN_BENCH_SKIP_SCALING_GATE` is set (required on hosts with fewer
 //! than 4 CPUs, where the speedup is physically capped below the gate).
-//! The 1-D shard curve is reported but not gated: its fan-out is four
-//! frontier subtrees plus a sequential merge-and-finish pass, so Amdahl
-//! caps its efficiency well below the τ-sweep's even on idle multicore
-//! hosts.
 
 use wsyn_core::json::{object, Value};
 use wsyn_core::Pool;
-use wsyn_datagen::{zipf, ZipfPlacement};
 use wsyn_haar::nd::NdShape;
 use wsyn_synopsis::multi_dim::oneplus::OnePlusEps;
-use wsyn_synopsis::one_dim::MinMaxErr;
-use wsyn_synopsis::ErrorMetric;
 
 /// Name of the escape hatch consulted by the efficiency gate.
 const SKIP_GATE_ENV: &str = "WSYN_BENCH_SKIP_SCALING_GATE";
@@ -86,60 +78,6 @@ fn main() {
         counts.push(host_cpus);
     }
 
-    // ── 1-D shard-parallel dedup DP, E5 workload (scaled down: the
-    // speculative shard solves make each run seconds-long at N = 1024) ──
-    let (n, b) = (512usize, 32usize);
-    let data = zipf(n, 1.0, 100_000.0, ZipfPlacement::Shuffled, 5);
-    let metric = ErrorMetric::relative(1.0);
-    let solver = MinMaxErr::new(&data).unwrap();
-    // A one-thread pool falls back to the sequential kernel, so the
-    // curve's threads = 1 point times the honest sequential baseline
-    // directly; the decomposed solve's stats are checked invariant only
-    // across counts >= 2.
-    let reference = solver.run(b, metric);
-    let mut decomposed_stats = None;
-    for &threads in &counts {
-        let r = solver.run_parallel(b, metric, &Pool::with_threads(threads));
-        assert_eq!(
-            r.objective.to_bits(),
-            reference.objective.to_bits(),
-            "1-D solve not bit-identical at {threads} threads"
-        );
-        if threads == 1 {
-            assert_eq!(
-                r.stats, reference.stats,
-                "threads = 1 must take the sequential fallback"
-            );
-        } else {
-            if let Some(prev) = decomposed_stats {
-                assert_eq!(r.stats, prev, "1-D stats depend on thread count");
-            }
-            decomposed_stats = Some(r.stats);
-        }
-    }
-    let one_dim = scaling_curve(reps, &counts, |threads| {
-        let pool = Pool::with_threads(threads);
-        std::hint::black_box(solver.run_parallel(b, metric, &pool).objective);
-    });
-    // The plain sequential solve is the honest baseline: shard solves
-    // speculate over every frontier (budget, error) pair and cannot use
-    // the global incumbent for pruning, so the parallel path trades
-    // extra total work for concurrency. The JSON records both so the
-    // break-even thread count is visible.
-    let mut seq_times: Vec<f64> = (0..reps)
-        .map(|_| {
-            time_ms(|| {
-                std::hint::black_box(solver.run(b, metric).objective);
-            })
-        })
-        .collect();
-    let sequential_run_ms = median(&mut seq_times);
-    println!("1-D shard-parallel dedup (N = {n}, B = {b}):");
-    println!("  sequential run(): {sequential_run_ms:.2} ms");
-    for &(threads, ms, speedup) in &one_dim {
-        println!("  {threads} thread(s): {ms:.2} ms  ({speedup:.2}x)");
-    }
-
     // ── τ-sweep of the (1+ε) scheme, 2-D cube, ≥ 8 τ values ───────────
     let side = 16usize;
     let shape = NdShape::hypercube(side, 2).unwrap();
@@ -197,16 +135,6 @@ fn main() {
         ("bench", Value::String("parallel".into())),
         ("host_cpus", Value::Number(host_cpus as f64)),
         ("reps", Value::Number(reps as f64)),
-        (
-            "one_dim_shards",
-            object(vec![
-                ("workload", Value::String("E5 zipf(1.0)-shuffled".into())),
-                ("n", Value::Number(n as f64)),
-                ("b", Value::Number(b as f64)),
-                ("sequential_run_ms", Value::Number(sequential_run_ms)),
-                ("curve", curve_json(&one_dim)),
-            ]),
-        ),
         (
             "tau_sweep",
             object(vec![

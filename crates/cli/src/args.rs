@@ -71,25 +71,6 @@ impl Args {
     }
 }
 
-/// Parses a metric spec: `abs` or `rel:<sanity>`.
-pub fn parse_metric(spec: &str) -> Result<wsyn_synopsis::ErrorMetric, String> {
-    if spec == "abs" {
-        return Ok(wsyn_synopsis::ErrorMetric::absolute());
-    }
-    if let Some(s) = spec.strip_prefix("rel:") {
-        let sanity: f64 = s
-            .parse()
-            .map_err(|_| format!("bad sanity bound in metric '{spec}'"))?;
-        if sanity <= 0.0 {
-            return Err("sanity bound must be positive".into());
-        }
-        return Ok(wsyn_synopsis::ErrorMetric::relative(sanity));
-    }
-    Err(format!(
-        "unknown metric '{spec}' (expected 'abs' or 'rel:<sanity>')"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,19 +99,5 @@ mod tests {
         let a = Args::parse(&v(&["--foo", "1"])).unwrap();
         assert!(a.ensure_known(&["bar"]).is_err());
         assert!(a.ensure_known(&["foo"]).is_ok());
-    }
-
-    #[test]
-    fn metric_specs() {
-        assert_eq!(
-            parse_metric("abs").unwrap(),
-            wsyn_synopsis::ErrorMetric::absolute()
-        );
-        assert_eq!(
-            parse_metric("rel:2.5").unwrap(),
-            wsyn_synopsis::ErrorMetric::Relative { sanity: 2.5 }
-        );
-        assert!(parse_metric("rel:0").is_err());
-        assert!(parse_metric("l2").is_err());
     }
 }

@@ -9,7 +9,7 @@ use wsyn_synopsis::family::{GuaranteeKind, MetricSupport};
 use wsyn_synopsis::thresholder::RunParams;
 use wsyn_synopsis::{rmse, AnySynopsis, ErrorMetric};
 
-use crate::args::{parse_metric, Args};
+use crate::args::Args;
 use crate::io::{self, SynopsisDoc, SynopsisPayload};
 
 /// Top-level usage text.
@@ -133,7 +133,7 @@ fn build(a: &Args) -> Result<(), String> {
     let data = io::read_data(a.req("input")?)?;
     let budget: usize = a.req_parse("budget")?;
     let metric_spec = a.opt("metric").unwrap_or("rel:1.0").to_string();
-    let metric = parse_metric(&metric_spec)?;
+    let metric: ErrorMetric = metric_spec.parse()?;
     let algo = a.opt("algo").unwrap_or("minmax");
     let out = a.req("out")?;
     let report_path = a.opt("report").map(str::to_string);
@@ -227,7 +227,7 @@ fn eval(a: &Args) -> Result<(), String> {
         .map(str::to_string)
         .or_else(|| doc.metric.clone())
         .unwrap_or_else(|| "rel:1.0".into());
-    let metric = parse_metric(&metric_spec)?;
+    let metric: ErrorMetric = metric_spec.parse()?;
     let recon = doc.payload.reconstruct();
     println!("algorithm          : {}", doc.algorithm);
     println!("{:<19}: {}", doc.payload.unit(), doc.payload.len());
@@ -384,7 +384,7 @@ fn query(a: &Args) -> Result<(), String> {
             let est = engine.point(i) + 0.0; // normalizes -0
             println!("point({i}) = {est}");
             if let (Some(obj), Some(metric)) = (doc.objective, doc.metric.as_deref()) {
-                let iv = match parse_metric(metric)? {
+                let iv = match metric.parse::<ErrorMetric>()? {
                     ErrorMetric::Absolute => bounds::point_absolute(est, obj),
                     ErrorMetric::Relative { sanity } => bounds::point_relative(est, obj, sanity),
                 };
@@ -473,6 +473,28 @@ mod tests {
         let doc = crate::io::read_synopsis(&syn_path).unwrap();
         assert_eq!(doc.algorithm, "greedy");
         assert!(doc.payload.len() <= 3);
+    }
+
+    #[test]
+    fn non_finite_sanity_bound_is_an_error_not_a_panic() {
+        let dir = tmpdir("nonfinite");
+        let data_path = format!("{dir}/data.txt");
+        crate::io::write_data(&data_path, &[2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0]).unwrap();
+        for metric in ["rel:nan", "rel:inf"] {
+            let err = dispatch(&v(&[
+                "build",
+                "--input",
+                &data_path,
+                "--budget",
+                "3",
+                "--metric",
+                metric,
+                "--out",
+                &format!("{dir}/syn.json"),
+            ]))
+            .unwrap_err();
+            assert_eq!(err, "sanity bound must be positive and finite", "{metric}");
+        }
     }
 
     #[test]

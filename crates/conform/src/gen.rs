@@ -32,34 +32,22 @@ impl MetricSpec {
         }
     }
 
-    /// Stable identifier, `"abs"` or `"rel:<sanity>"` (CLI `--metric`
-    /// syntax of the main crate).
+    /// Stable identifier, `"abs"` or `"rel:<sanity>"` ([`ErrorMetric`]'s
+    /// spec form, the CLI `--metric` syntax).
     #[must_use]
     pub fn id(self) -> String {
-        match self {
-            MetricSpec::Abs => "abs".to_string(),
-            MetricSpec::Rel(s) => format!("rel:{s}"),
-        }
+        self.metric().to_string()
     }
 
-    /// Parses [`MetricSpec::id`] output.
+    /// Parses [`MetricSpec::id`] output with [`ErrorMetric`]'s grammar.
     ///
     /// # Errors
     /// Describes the malformed spec.
     pub fn parse(text: &str) -> Result<MetricSpec, String> {
-        if text == "abs" {
-            return Ok(MetricSpec::Abs);
-        }
-        if let Some(s) = text.strip_prefix("rel:") {
-            let sanity: f64 = s
-                .parse()
-                .map_err(|e| format!("bad sanity bound `{s}`: {e}"))?;
-            if sanity > 0.0 {
-                return Ok(MetricSpec::Rel(sanity));
-            }
-            return Err(format!("sanity bound must be positive, got {sanity}"));
-        }
-        Err(format!("unknown metric `{text}` (want `abs` or `rel:<s>`)"))
+        Ok(match text.parse::<ErrorMetric>()? {
+            ErrorMetric::Absolute => MetricSpec::Abs,
+            ErrorMetric::Relative { sanity } => MetricSpec::Rel(sanity),
+        })
     }
 }
 

@@ -43,29 +43,6 @@ use wsyn_synopsis::{ErrorMetric, Thresholder};
 
 use crate::protocol::QueryKind;
 
-/// Parses a metric spec string: `abs` or `rel:<sanity>` (the CLI's
-/// `--metric` grammar and [`wsyn_synopsis::ErrorMetric`]'s stable ids).
-///
-/// # Errors
-/// A message naming the malformed spec.
-pub fn parse_metric(spec: &str) -> Result<ErrorMetric, String> {
-    if spec == "abs" {
-        return Ok(ErrorMetric::absolute());
-    }
-    if let Some(s) = spec.strip_prefix("rel:") {
-        let sanity: f64 = s
-            .parse()
-            .map_err(|_| format!("bad sanity bound in metric '{spec}'"))?;
-        if !(sanity > 0.0 && sanity.is_finite()) {
-            return Err("sanity bound must be positive and finite".to_string());
-        }
-        return Ok(ErrorMetric::relative(sanity));
-    }
-    Err(format!(
-        "unknown metric '{spec}' (expected 'abs' or 'rel:<sanity>')"
-    ))
-}
-
 /// The query engine of a build, dispatching on the synopsis family that
 /// produced it. Both variants answer the same point/range workload; the
 /// interval derivations downstream consume only `(estimate, guarantee)`
@@ -485,7 +462,7 @@ impl Column {
         family: Option<&str>,
         obs: &Collector,
     ) -> Result<&Built, String> {
-        let metric = parse_metric(metric_spec)?;
+        let metric: ErrorMetric = metric_spec.parse()?;
         let choice = resolve_family(family)?;
         self.drain(obs)?;
         let span = obs.span("build");
@@ -828,22 +805,9 @@ pub enum AnyColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsyn_core::Pool;
 
     fn data() -> Vec<f64> {
         (0..32).map(|i| f64::from((i * 19 + 5) % 23)).collect()
-    }
-
-    #[test]
-    fn metric_specs_parse() {
-        assert_eq!(parse_metric("abs").unwrap(), ErrorMetric::absolute());
-        assert_eq!(
-            parse_metric("rel:2.5").unwrap(),
-            ErrorMetric::Relative { sanity: 2.5 }
-        );
-        assert!(parse_metric("rel:0").is_err());
-        assert!(parse_metric("rel:inf").is_err());
-        assert!(parse_metric("l2").is_err());
     }
 
     #[test]
@@ -852,7 +816,7 @@ mod tests {
         let mut col = Column::new(&data, 2.0).unwrap();
         let reference = MinMaxErr::new(&data).unwrap();
         for metric_spec in ["abs", "rel:1.0"] {
-            let metric = parse_metric(metric_spec).unwrap();
+            let metric: ErrorMetric = metric_spec.parse().unwrap();
             for b in [0usize, 3, 8, 16] {
                 let built = col.build(b, metric_spec, None, &Collector::noop()).unwrap();
                 let lib = reference.run(b, metric);
@@ -942,12 +906,7 @@ mod tests {
         let reference = MinMaxErr::new(&data).unwrap();
         for b in (0..=16).rev() {
             let built = col.build(b, "rel:1.0", None, &Collector::noop()).unwrap();
-            let lib = reference.run_with_pool(
-                b,
-                ErrorMetric::relative(1.0),
-                wsyn_synopsis::one_dim::Config::default(),
-                &Pool::with_threads(1),
-            );
+            let lib = reference.run(b, ErrorMetric::relative(1.0));
             assert_eq!(built.objective.to_bits(), lib.objective.to_bits(), "b={b}");
             assert_eq!(
                 built.engine.as_wavelet().unwrap().synopsis().indices(),

@@ -11,10 +11,6 @@
 //!   Haar coefficient array under point updates `d_i += δ`, at
 //!   `O(log N)` coefficient touches per update (every update affects only
 //!   the `log N + 1` ancestors of the cell).
-//! * [`MaintainedGreedySynopsis`] — an incrementally maintained
-//!   conventional (top-`B` normalized) synopsis: membership is
-//!   recomputed lazily from the maintained coefficients, never from the
-//!   raw data.
 //! * [`AdaptiveMaxErrSynopsis`] — a rebuild policy for the optimal
 //!   `MinMaxErr` synopsis: the current synopsis's guarantee is tracked
 //!   under updates via a conservative drift bound, and the expensive DP is
@@ -38,7 +34,6 @@
 use wsyn_core::WsynError;
 use wsyn_haar::{is_pow2, log2_exact, transform, ErrorTree1d, HaarError};
 use wsyn_obs::Collector;
-use wsyn_synopsis::greedy::greedy_l2_1d;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::{ErrorMetric, RunParams, SolverScratch, Synopsis1d, Thresholder};
 
@@ -197,70 +192,6 @@ impl DynamicErrorTree {
             .fold(0.0f64, f64::max);
         self.coeffs = fresh;
         drift
-    }
-}
-
-/// An incrementally maintained conventional (greedy top-`B` normalized)
-/// synopsis over a [`DynamicErrorTree`].
-///
-/// Coefficient values change under updates, so top-`B` membership is
-/// recomputed from the maintained coefficient array on demand (`O(N log
-/// N)` per refresh, never touching raw data); `refresh_every` bounds the
-/// staleness in number of updates.
-#[derive(Debug)]
-pub struct MaintainedGreedySynopsis {
-    tree: DynamicErrorTree,
-    b: usize,
-    refresh_every: u64,
-    since_refresh: u64,
-    current: Synopsis1d,
-}
-
-impl MaintainedGreedySynopsis {
-    /// Builds the maintained synopsis.
-    ///
-    /// # Errors
-    /// Propagates [`HaarError`].
-    ///
-    /// # Panics
-    /// Panics when `refresh_every == 0`.
-    pub fn new(data: &[f64], b: usize, refresh_every: u64) -> Result<Self, HaarError> {
-        assert!(refresh_every > 0, "refresh_every must be positive");
-        let tree = DynamicErrorTree::new(data)?;
-        let current = greedy_l2_1d(&tree.snapshot(), b);
-        Ok(Self {
-            tree,
-            b,
-            refresh_every,
-            since_refresh: 0,
-            current,
-        })
-    }
-
-    /// Applies an update; refreshes membership when due.
-    pub fn update(&mut self, i: usize, delta: f64) {
-        self.tree.update(i, delta);
-        self.since_refresh += 1;
-        if self.since_refresh >= self.refresh_every {
-            self.refresh();
-        }
-    }
-
-    /// Forces a membership refresh from the maintained coefficients.
-    pub fn refresh(&mut self) {
-        self.current = greedy_l2_1d(&self.tree.snapshot(), self.b);
-        self.since_refresh = 0;
-    }
-
-    /// The current synopsis (possibly up to `refresh_every - 1` updates
-    /// stale in membership; values inside it are as of the last refresh).
-    pub fn synopsis(&self) -> &Synopsis1d {
-        &self.current
-    }
-
-    /// The underlying dynamic tree.
-    pub fn tree(&self) -> &DynamicErrorTree {
-        &self.tree
     }
 }
 
@@ -516,27 +447,6 @@ mod tests {
         t.update(0, 3.0);
         assert_eq!(t.coeffs(), &[8.0]);
         assert_eq!(t.data(), &[8.0]);
-    }
-
-    #[test]
-    fn maintained_greedy_matches_from_scratch_after_refresh() {
-        let data: Vec<f64> = (0..32).map(|i| f64::from((i * 7 + 3) % 13)).collect();
-        let mut m = MaintainedGreedySynopsis::new(&data, 6, 4).unwrap();
-        let mut reference = data.clone();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..40 {
-            let i = rng.gen_range(0..32);
-            let delta = f64::from(rng.gen_range(-5i32..=5));
-            m.update(i, delta);
-            reference[i] += delta;
-        }
-        m.refresh();
-        let from_scratch = greedy_l2_1d(&ErrorTree1d::from_data(&reference).unwrap(), 6);
-        // Same indices; values equal up to update round-off.
-        assert_eq!(m.synopsis().indices(), from_scratch.indices());
-        for (a, b) in m.synopsis().entries().iter().zip(from_scratch.entries()) {
-            assert!((a.1 - b.1).abs() < 1e-9);
-        }
     }
 
     #[test]

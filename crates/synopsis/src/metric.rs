@@ -97,6 +97,45 @@ impl ErrorMetric {
     }
 }
 
+/// The metric-spec grammar shared by the CLI's `--metric` flag, the
+/// server protocol and the conformance corpus: `abs`, or `rel:<sanity>`
+/// with a positive, finite sanity bound. Inverse of the [`Display`]
+/// form.
+///
+/// [`Display`]: std::fmt::Display
+impl std::str::FromStr for ErrorMetric {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        if spec == "abs" {
+            return Ok(ErrorMetric::absolute());
+        }
+        if let Some(s) = spec.strip_prefix("rel:") {
+            let sanity: f64 = s
+                .parse()
+                .map_err(|_| format!("bad sanity bound in metric '{spec}'"))?;
+            if !(sanity > 0.0 && sanity.is_finite()) {
+                return Err("sanity bound must be positive and finite".to_string());
+            }
+            return Ok(ErrorMetric::relative(sanity));
+        }
+        Err(format!(
+            "unknown metric '{spec}' (expected 'abs' or 'rel:<sanity>')"
+        ))
+    }
+}
+
+/// The stable spec id, `abs` or `rel:<sanity>` — what
+/// [`str::parse`] reads back.
+impl std::fmt::Display for ErrorMetric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ErrorMetric::Relative { sanity } => write!(f, "rel:{sanity}"),
+            ErrorMetric::Absolute => f.write_str("abs"),
+        }
+    }
+}
+
 /// Root-mean-squared (L2-average) error — the objective of conventional
 /// thresholding (§2.3): `sqrt(Σ_i (d_i − d̂_i)² / N)`.
 ///
@@ -153,6 +192,30 @@ mod tests {
     #[should_panic(expected = "sanity bound")]
     fn zero_sanity_rejected() {
         let _ = ErrorMetric::relative(0.0);
+    }
+
+    #[test]
+    fn spec_grammar() {
+        let cases: [(&str, Result<ErrorMetric, &str>); 8] = [
+            ("abs", Ok(ErrorMetric::Absolute)),
+            ("rel:2.5", Ok(ErrorMetric::Relative { sanity: 2.5 })),
+            ("rel:0", Err("sanity bound must be positive and finite")),
+            ("rel:-1", Err("sanity bound must be positive and finite")),
+            ("rel:nan", Err("sanity bound must be positive and finite")),
+            ("rel:inf", Err("sanity bound must be positive and finite")),
+            ("rel:", Err("bad sanity bound in metric 'rel:'")),
+            (
+                "l2",
+                Err("unknown metric 'l2' (expected 'abs' or 'rel:<sanity>')"),
+            ),
+        ];
+        for (spec, want) in cases {
+            let got = spec.parse::<ErrorMetric>();
+            assert_eq!(got, want.map_err(str::to_string), "{spec}");
+            if let Ok(metric) = got {
+                assert_eq!(metric.to_string(), spec, "round trip of {spec}");
+            }
+        }
     }
 
     #[test]

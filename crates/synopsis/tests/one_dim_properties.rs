@@ -3,7 +3,6 @@
 //! invariants — on fully random inputs via proptest.
 
 use proptest::prelude::*;
-use wsyn_core::Pool;
 use wsyn_synopsis::one_dim::{Config, DedupWorkspace, Engine, MinMaxErr, SplitSearch};
 use wsyn_synopsis::{oracle, ErrorMetric};
 
@@ -175,148 +174,5 @@ proptest! {
         }
         // The whole sweep shared one warm memo: no clears happened.
         prop_assert_eq!(ws.clears(), 0);
-    }
-}
-
-proptest! {
-    // Fewer cases: each one sweeps every budget through every
-    // configuration at three pool sizes.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Pool-parallel solves are bit-identical to sequential ones at
-    /// threads ∈ {1, 2, 4}, for all eight `Config::ALL` configurations
-    /// (N ≤ 64, every budget) — objective bits and retained set at every
-    /// count, plus the `DpStats` contract: at one thread the pool takes
-    /// the sequential fallback so its stats equal the sequential run's,
-    /// and at two or more the decomposed solve's stats are invariant
-    /// across counts (the decomposition is determined by the instance
-    /// alone, so even the counters cannot depend on the pool size).
-    /// SubsetMask's quadratic state blow-up makes it the expensive
-    /// pass-through, so it checks a budget sample once `N > 16`,
-    /// matching the warm-sweep test above.
-    #[test]
-    fn pool_parallel_is_bit_identical_to_sequential(
-        data in pow2_data_large(),
-        metric in metrics(),
-    ) {
-        let solver = MinMaxErr::new(&data).unwrap();
-        let n = data.len();
-        for b in 0..=n {
-            for config in Config::ALL {
-                if matches!(config.engine, Engine::SubsetMask) && n > 16 && b % 7 != 0 {
-                    continue;
-                }
-                let seq = solver.run_with(b, metric, config);
-                let mut stats = Vec::new();
-                for threads in [1usize, 2, 4] {
-                    let pool = Pool::with_threads(threads);
-                    let r = solver.run_with_pool(b, metric, config, &pool);
-                    prop_assert_eq!(
-                        r.objective.to_bits(),
-                        seq.objective.to_bits(),
-                        "objective: n={} b={} {:?} threads={}",
-                        n, b, config, threads
-                    );
-                    prop_assert_eq!(
-                        r.synopsis.indices(),
-                        seq.synopsis.indices(),
-                        "retained set: n={} b={} {:?} threads={}",
-                        n, b, config, threads
-                    );
-                    stats.push(r.stats);
-                }
-                prop_assert_eq!(
-                    stats[0], seq.stats,
-                    "threads=1 must take the sequential fallback: n={} b={}", n, b
-                );
-                prop_assert_eq!(stats[1], stats[2], "stats 2 vs 4 threads: n={} b={}", n, b);
-            }
-        }
-    }
-
-    /// A pooled warm B-sweep through one workspace matches a sequential
-    /// warm sweep exactly, in both sweep orders.
-    #[test]
-    fn pooled_warm_sweep_matches_sequential_warm_sweep(
-        data in pow2_data_large(),
-        metric in metrics(),
-        descending in any::<bool>(),
-    ) {
-        let solver = MinMaxErr::new(&data).unwrap();
-        let n = data.len();
-        let mut budgets: Vec<usize> = (0..=n).collect();
-        if descending {
-            budgets.reverse();
-        }
-        let pool = Pool::with_threads(4);
-        let mut ws_seq = DedupWorkspace::new();
-        let mut ws_par = DedupWorkspace::new();
-        for &b in &budgets {
-            let seq = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws_seq);
-            let par = solver.run_warm_parallel(b, metric, SplitSearch::Binary, &mut ws_par, &pool);
-            prop_assert_eq!(
-                par.objective.to_bits(),
-                seq.objective.to_bits(),
-                "objective: n={} b={} desc={}",
-                n, b, descending
-            );
-            prop_assert_eq!(
-                par.synopsis.indices(),
-                seq.synopsis.indices(),
-                "retained set: n={} b={} desc={}",
-                n, b, descending
-            );
-        }
-        prop_assert_eq!(ws_par.clears(), 0);
-    }
-}
-
-/// The fallback boundary itself, deterministically: a one-thread pool
-/// (whether from `with_threads(1)` or a clamped `with_threads(0)`) takes
-/// the sequential path — full result equality including `DpStats` — and
-/// the first genuinely pooled count (2) still matches the sequential
-/// reference bit for bit on objective and retained set, for both the
-/// cold and warm entry points.
-#[test]
-fn one_thread_pool_falls_back_to_sequential() {
-    let data: Vec<f64> = (0..64)
-        .map(|i| f64::from((i * 37 + 11) % 101) - 50.0)
-        .collect();
-    let solver = MinMaxErr::new(&data).unwrap();
-    for metric in [ErrorMetric::absolute(), ErrorMetric::relative(2.0)] {
-        for b in [0usize, 1, 7, 32, 64] {
-            for config in Config::ALL {
-                let seq = solver.run_with(b, metric, config);
-                for pool in [Pool::with_threads(1), Pool::with_threads(0)] {
-                    let one = solver.run_with_pool(b, metric, config, &pool);
-                    assert_eq!(one.objective.to_bits(), seq.objective.to_bits());
-                    assert_eq!(one.synopsis.indices(), seq.synopsis.indices());
-                    assert_eq!(
-                        one.stats, seq.stats,
-                        "one-thread pool must not pay shard speculation: \
-                         b={b} {config:?}"
-                    );
-                }
-                let two = solver.run_with_pool(b, metric, config, &Pool::with_threads(2));
-                assert_eq!(two.objective.to_bits(), seq.objective.to_bits());
-                assert_eq!(two.synopsis.indices(), seq.synopsis.indices());
-            }
-
-            // Warm path: a one-thread warm sweep through one workspace is
-            // the sequential warm sweep, stats included.
-            let mut ws_seq = DedupWorkspace::new();
-            let mut ws_one = DedupWorkspace::new();
-            let seq = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws_seq);
-            let one = solver.run_warm_parallel(
-                b,
-                metric,
-                SplitSearch::Binary,
-                &mut ws_one,
-                &Pool::with_threads(1),
-            );
-            assert_eq!(one.objective.to_bits(), seq.objective.to_bits());
-            assert_eq!(one.synopsis.indices(), seq.synopsis.indices());
-            assert_eq!(one.stats, seq.stats, "warm fallback stats: b={b}");
-        }
     }
 }
