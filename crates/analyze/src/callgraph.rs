@@ -2,20 +2,13 @@
 //! trees.
 //!
 //! Resolution is *name-based* — the analyzer has no type information —
-//! so the graph is deliberately conservative in the direction that
-//! matters for each client:
-//!
-//! * The taint pass ([`crate::taint`]) unions the summaries of **every**
-//!   candidate with a matching name: over-approximate, so real flows
-//!   are never dropped by a resolution miss.
-//! * The `unsafe-caller` rule only fires on names that are
-//!   **unambiguously unsafe** (every workspace definition of that name
-//!   is an `unsafe fn`): under-approximate, so a safe `alloc` arena
-//!   method is never confused with `GlobalAlloc::alloc`.
-//!
-//! Both choices and their caveats are documented in DESIGN.md §13.
+//! so the graph is deliberately conservative: the taint pass
+//! ([`crate::taint`]) unions the summaries of **every** candidate with a
+//! matching name (over-approximate), so real flows are never dropped by
+//! a resolution miss. The choice and its caveats are documented in
+//! DESIGN.md §13.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::parse::{self, Block, Expr, ExprKind, File};
 
@@ -31,8 +24,6 @@ pub struct FnNode<'a> {
     pub qual: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
     /// Has `pub` visibility.
     pub is_pub: bool,
     /// Inside a `#[test]` / `#[cfg(test)]` item, or a tests/ path.
@@ -95,7 +86,6 @@ impl<'a> CallGraph<'a> {
                     name: &f.name,
                     qual,
                     line: f.line,
-                    is_unsafe: f.is_unsafe,
                     is_pub: f.is_pub,
                     in_test: in_test || path_test,
                     returns_value: f.returns_value,
@@ -170,20 +160,6 @@ impl<'a> CallGraph<'a> {
         }
         candidates.to_vec()
     }
-
-    /// Function names that are **unambiguously unsafe**: at least one
-    /// definition is `unsafe fn`, and every workspace definition with
-    /// that name is. Names also defined as safe functions are excluded
-    /// — a caller of those cannot be attributed without types.
-    #[must_use]
-    pub fn unambiguous_unsafe_fns(&self) -> BTreeSet<&'a str> {
-        self.by_name
-            .iter()
-            .filter(|(_, idxs)| idxs.iter().all(|&i| self.fns[i].is_unsafe))
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .map(|(name, _)| *name)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -231,21 +207,6 @@ mod tests {
         assert_eq!(g.fns[pool_new[0]].qual, "Pool::new");
         // Bare `new` matches both.
         assert_eq!(g.resolve(&["new".to_string()], false).len(), 2);
-    }
-
-    #[test]
-    fn unsafe_names_require_unanimity() {
-        let (files, ()) = graph_of(&[(
-            "crates/x/src/lib.rs",
-            "impl A { unsafe fn danger(&self) {} }
-             impl B { unsafe fn alloc(&self) {} }
-             impl C { pub fn alloc(&self) {} }",
-        )]);
-        let g = CallGraph::build(&files);
-        let unsafe_names = g.unambiguous_unsafe_fns();
-        assert!(unsafe_names.contains("danger"));
-        // `alloc` has a safe definition too: ambiguous, excluded.
-        assert!(!unsafe_names.contains("alloc"));
     }
 
     #[test]

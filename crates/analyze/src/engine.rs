@@ -10,14 +10,13 @@
 //!
 //! Passes, in order:
 //!
-//! 1. **Per-file token rules** ([`crate::rules::check_source`]) — the
-//!    PR-2 lexical family.
+//! 1. **Per-file token rule** ([`crate::rules::check_source`]) —
+//!    `float-eq`.
 //! 2. **Per-file AST rules** ([`crate::rules::check_ast`]) —
-//!    `thread-policy`, `pool-capture`, `atomic-ordering`,
-//!    `mutex-poison` over the [`crate::parse`] tree.
-//! 3. **Workspace passes** — the [`crate::taint`] dataflow analysis and
-//!    the interprocedural `unsafe-caller` rule over the
-//!    [`crate::callgraph`]. Their diagnostics are filtered through the
+//!    `pool-capture`, `atomic-ordering`, `mutex-poison`,
+//!    `threshold-surface` over the [`crate::parse`] tree.
+//! 3. **Workspace pass** — the [`crate::taint`] dataflow analysis over
+//!    the [`crate::callgraph`]. Its diagnostics are filtered through the
 //!    same per-file `// wsyn: allow(<rule>)` table as everything else.
 //!
 //! [`Report::to_json`] renders canonical bytes via `wsyn_core::json`
@@ -194,48 +193,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
     parts.join("/")
 }
 
-/// The interprocedural `unsafe-caller` pass: every call site whose
-/// callee name is unambiguously `unsafe` in this workspace needs a
-/// `// SAFETY:` comment within 3 lines above the call — even when the
-/// enclosing `unsafe` block's justification sits further away.
-fn unsafe_caller_pass(
-    graph: &CallGraph<'_>,
-    safety: &BTreeMap<String, Vec<u32>>,
-) -> Vec<Diagnostic> {
-    let unsafe_names = graph.unambiguous_unsafe_fns();
-    let mut out = Vec::new();
-    for call in &graph.calls {
-        let Some(last) = call.callee.last() else {
-            continue;
-        };
-        if !unsafe_names.contains(last.as_str()) {
-            continue;
-        }
-        let caller = &graph.fns[call.caller];
-        // A definition's own body is where the obligation is discharged
-        // for its callers, not re-imposed on recursion.
-        if caller.name == last.as_str() {
-            continue;
-        }
-        if !Scope::classify(caller.file).safety {
-            continue;
-        }
-        let lines = safety.get(caller.file).map_or(&[][..], Vec::as_slice);
-        if !rules::justified_near(lines, call.line) {
-            out.push(Diagnostic {
-                path: caller.file.to_string(),
-                line: call.line,
-                rule: Rule::UnsafeCaller,
-                message: format!(
-                    "call to unsafe fn `{last}` without a // SAFETY: comment \
-                     within 3 lines above"
-                ),
-            });
-        }
-    }
-    out
-}
-
 /// Runs only the workspace taint pass under an explicit allowlist.
 ///
 /// This is the negative-test hook: the conformance test deletes each
@@ -252,7 +209,7 @@ pub fn taint_findings(root: &Path, allow: &[taint::AllowEntry]) -> io::Result<Ve
     let mut parsed: Vec<(String, File)> = Vec::new();
     for path in &paths {
         let rel = rel_path(root, path);
-        if Scope::classify(&rel) == Scope::none() {
+        if Scope::classify(&rel).is_none() {
             continue;
         }
         let src = fs::read_to_string(path)?;
@@ -263,7 +220,7 @@ pub fn taint_findings(root: &Path, allow: &[taint::AllowEntry]) -> io::Result<Ve
 }
 
 /// Scans every `.rs` file under `root`: per-file token and AST rules,
-/// then the workspace call-graph passes (taint, `unsafe-caller`).
+/// then the workspace taint pass over the call graph.
 ///
 /// # Errors
 /// Propagates I/O failures from the directory walk or file reads.
@@ -277,31 +234,27 @@ pub fn check_tree(root: &Path) -> io::Result<Report> {
     }
 
     let mut diagnostics = Vec::new();
-    // Per-file passes: token rules, then AST rules. Each handles its own
-    // allow comments.
+    // Per-file passes: the token rule, then AST rules. Each handles its
+    // own allow comments.
     for (rel, src) in &sources {
         diagnostics.extend(check_source(rel, src));
         diagnostics.extend(rules::check_ast(rel, src));
     }
 
-    // Workspace passes, over non-vendor files only: the stand-ins can
-    // neither generate taint nor contribute unsafe definitions.
+    // Workspace pass, over non-vendor files only: the stand-ins cannot
+    // generate taint.
     let mut parsed: Vec<(String, File)> = Vec::new();
     let mut allows: BTreeMap<String, rules::Allows> = BTreeMap::new();
-    let mut safety: BTreeMap<String, Vec<u32>> = BTreeMap::new();
     for (rel, src) in &sources {
-        if Scope::classify(rel) == Scope::none() {
+        if Scope::classify(rel).is_none() {
             continue;
         }
         let tokens = lex(src);
         allows.insert(rel.clone(), rules::Allows::collect(&tokens));
-        safety.insert(rel.clone(), rules::marker_lines(&tokens, "SAFETY:"));
         parsed.push((rel.clone(), parse::parse_tokens(&tokens)));
     }
     let graph = CallGraph::build(&parsed);
-    let mut workspace = taint::check(&parsed, &graph);
-    workspace.extend(unsafe_caller_pass(&graph, &safety));
-    for d in workspace {
+    for d in taint::check(&parsed, &graph) {
         let covered = allows
             .get(&d.path)
             .is_some_and(|a| a.covers(d.line, d.rule));
@@ -374,7 +327,7 @@ mod tests {
         };
         assert!(b.covers(&hit));
         let miss = Diagnostic {
-            rule: Rule::NoPanic,
+            rule: Rule::FloatEq,
             ..hit.clone()
         };
         assert!(!b.covers(&miss));

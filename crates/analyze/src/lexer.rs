@@ -22,7 +22,7 @@
 //!
 //! Comments are *kept* in the stream ([`TokenKind::LineComment`] /
 //! [`TokenKind::BlockComment`]): the rule engine reads them for the
-//! `// wsyn: allow(<rule>)` escape hatch and for `// SAFETY:`
+//! `// wsyn: allow(<rule>)` escape hatch and for `// ORDERING:`
 //! justifications, then filters them out of the code-matching view.
 //!
 //! The lexer is lenient by design: an unterminated literal or comment

@@ -5,27 +5,26 @@
 //! keeps that promise if no nondeterminism leaks into the solver paths.
 //! `wsyn-analyze` mechanically guards those invariants on every change.
 //! A dependency-free token-level Rust lexer ([`lexer`]) feeds both a
-//! token rule family ([`rules`]) and a lenient recursive-descent parser
+//! token rule ([`rules`]) and a lenient recursive-descent parser
 //! ([`parse`]) whose item/expression trees power a workspace call graph
 //! ([`callgraph`]), a nondeterminism taint analysis ([`taint`]), and
 //! AST-level concurrency rules. The engine ([`engine`]) runs all of it
 //! over the workspace and can render a canonical JSON report diffed
-//! against a committed baseline. The thirteen rules:
+//! against a committed baseline. The six rules are the checks clippy
+//! cannot express:
 //!
-//! * hash-order iteration (`HashMap`/`HashSet` with `RandomState`),
-//! * float `==`/`!=` tie-breaks,
-//! * wall-clock and entropy sources in guarantee-carrying code,
-//! * panicking escape hatches in library paths,
-//! * lossy integer casts in DP state packing,
-//! * unjustified `unsafe`,
+//! * float `==`/`!=` tie-breaks, zero included (clippy's `float_cmp`
+//!   exempts `x == 0.0`),
 //! * taint flows from nondeterministic sources into solver returns or
 //!   obs report fields,
-//! * thread-count policy calls outside the pool module,
 //! * non-`Sync` captures in pool closures,
 //! * unjustified atomic memory orderings,
 //! * `Mutex` locks without poison recovery,
-//! * calls to `unsafe fn`s without their own `// SAFETY:` comment,
 //! * ad-hoc `threshold_*` entry points outside the `Thresholder` trait.
+//!
+//! Hash-ordered collections, wall-clock reads, panicking escape
+//! hatches, narrowing casts, thread-count policy and `unsafe` are
+//! clippy's job: see the root `clippy.toml` and `[workspace.lints]`.
 //!
 //! Run it with `cargo run -p wsyn-analyze -- check` (add `--json` for
 //! the machine-readable report; nonzero exit on non-baselined

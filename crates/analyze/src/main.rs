@@ -15,6 +15,8 @@
 //! CI runs `cargo run -p wsyn-analyze -- check --json` alongside rustfmt
 //! and clippy; see `.github/workflows/ci.yml`.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -80,8 +80,6 @@ pub enum ItemKind {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
     /// Has a `pub` / `pub(…)` visibility.
     pub is_pub: bool,
     /// Parameter binding names, best effort (`self` included; nested
@@ -368,7 +366,6 @@ impl<'a> Parser<'a> {
         }
         // Visibility and modifiers.
         let mut is_pub = false;
-        let mut is_unsafe = false;
         loop {
             match self.peek_text() {
                 "pub" => {
@@ -381,7 +378,6 @@ impl<'a> Parser<'a> {
                 "unsafe" => {
                     // `unsafe fn` / `unsafe impl` modifier; `unsafe {`
                     // blocks never reach here (statement level only).
-                    is_unsafe = true;
                     self.bump();
                 }
                 "const" | "async" if self.peek_ahead(1) == "fn" => self.bump(),
@@ -396,7 +392,7 @@ impl<'a> Parser<'a> {
         }
         match self.peek_text() {
             "fn" => {
-                let f = self.parse_fn(is_unsafe, is_pub);
+                let f = self.parse_fn(is_pub);
                 Some(Item {
                     line,
                     cfg_test,
@@ -553,7 +549,7 @@ impl<'a> Parser<'a> {
 
     /// Parses `fn name<…>(params) -> Ret (where …)? ({ body } | ;)`;
     /// assumes at `fn`.
-    fn parse_fn(&mut self, is_unsafe: bool, is_pub: bool) -> FnItem {
+    fn parse_fn(&mut self, is_pub: bool) -> FnItem {
         let line = self.line();
         self.bump(); // `fn`
         let name = self.take_ident().unwrap_or_default();
@@ -615,7 +611,6 @@ impl<'a> Parser<'a> {
         };
         FnItem {
             name,
-            is_unsafe,
             is_pub,
             params,
             body,
@@ -739,13 +734,12 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        if parts.len() == 1 {
-            parts.pop().expect("nonempty") // wsyn: allow(no-panic)
-        } else {
-            Expr {
+        match <[Expr; 1]>::try_from(parts) {
+            Ok([only]) => only,
+            Err(parts) => Expr {
                 line,
                 kind: ExprKind::Seq(parts),
-            }
+            },
         }
     }
 
@@ -1365,18 +1359,15 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_and_pub_flags() {
+    fn pub_flag_survives_unsafe_modifier() {
         let file = parse_source("pub unsafe fn f() {} fn g() {}");
         let mut flags = Vec::new();
         for_each_fn(&file, |f, _, _| {
-            flags.push((f.name.clone(), f.is_unsafe, f.is_pub));
+            flags.push((f.name.clone(), f.is_pub));
         });
         assert_eq!(
             flags,
-            vec![
-                ("f".to_string(), true, true),
-                ("g".to_string(), false, false)
-            ]
+            vec![("f".to_string(), true), ("g".to_string(), false)]
         );
     }
 

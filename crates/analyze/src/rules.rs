@@ -1,100 +1,73 @@
 //! The determinism-and-robustness rules and the per-file engine.
 //!
 //! Every rule guards an invariant the paper's *deterministic* error
-//! guarantees rest on (DESIGN.md §4, README "Determinism invariants"):
+//! guarantees rest on (DESIGN.md §4, README "Determinism invariants").
+//! These are the checks clippy cannot express; the lexical rules clippy
+//! does express live in the root `clippy.toml` and `[workspace.lints]`
+//! (DESIGN.md §8):
 //!
 //! | id | guard |
 //! |----|-------|
 //! | `float-eq` | no `==`/`!=` against float literals in solver crates — ties must be broken by explicit ordering or `wsyn_core::{is_zero, total_eq}` |
-//! | `hash-collections` | no `HashMap`/`HashSet` (randomized `RandomState` iteration order) in solver crates — use `StateTable` or `BTreeMap`/`BTreeSet` |
-//! | `wall-clock` | no `Instant::now`/`SystemTime`/entropy-seeded RNG outside `bench`/`cli` |
-//! | `no-panic` | no `.unwrap()`/`.expect(…)`/`panic!` in library non-test code — propagate `Result` |
-//! | `lossy-cast` | no narrowing `as` casts in solver-crate DP state packing / index arithmetic — use `try_into` or `wsyn_core::narrow_u32` |
-//! | `safety-comment` | every `unsafe` must carry a `// SAFETY:` comment (vendor exempt) |
 //! | `taint-flow` | no dataflow from a nondeterministic source into a solver return value or obs report field ([`crate::taint`]) |
-//! | `thread-policy` | only `core/src/pool.rs` may call `configured_threads`/`host_parallelism` |
 //! | `pool-capture` | closures handed to `Pool::map_indexed`/`thread::scope` must not capture `Rc`/`RefCell`/`Cell` |
 //! | `atomic-ordering` | every atomic op names its `Ordering` and justifies it with `// ORDERING:` |
 //! | `mutex-poison` | solver-crate `Mutex` locks use `.lock().unwrap_or_else(PoisonError::into_inner)` |
-//! | `unsafe-caller` | calls to unambiguously-`unsafe` fns need their own `// SAFETY:` comment |
 //! | `threshold-surface` | solver crates must not define `threshold_*` fns outside the `Thresholder` trait surface — new knobs ride on `RunParams`/`FamilyParams` |
 //!
-//! The first six are token rules from PR 2; the rest ride the PR 7
-//! parse tree ([`crate::parse`]) and call graph ([`crate::callgraph`]).
+//! `float-eq` is a token rule; the rest ride the parse tree
+//! ([`crate::parse`]) and call graph ([`crate::callgraph`]). Clippy's
+//! `float_cmp` is no substitute for `float-eq`: it exempts comparisons
+//! against zero, which is exactly the `x == 0.0` tie-break the rule
+//! exists for.
 //!
-//! A violation that is *intended* — a documented invariant, a wrapping
-//! truncation inside a hash — is silenced in place with
-//! `// wsyn: allow(<rule>)` on the offending line or the line above.
-//! The comment is the audit trail: the justification lives next to it.
+//! A violation that is *intended* — a documented invariant — is
+//! silenced in place with `// wsyn: allow(<rule>)` on the offending
+//! line or the line above. The comment is the audit trail: the
+//! justification lives next to it.
 //!
 //! Scoping decisions (computed by [`Scope::classify`]):
 //!
-//! * Solver crates are `core`, `synopsis` (home of `MinMaxErr` and the
-//!   multi-dimensional schemes), `haar`, `prob`, and `conform` (the
-//!   conformance harness certifies solver determinism, so it is held to
-//!   the same determinism bar — in scope, not exempt).
+//! * Solver crates are the [`SOLVER_CRATES`]; `conform` is among them
+//!   (the conformance harness certifies solver determinism, so it is
+//!   held to the same determinism bar — in scope, not exempt).
 //! * `#[cfg(test)]` modules, `#[test]` functions, and `tests/` /
 //!   `benches/` / `examples/` trees are exempt from `float-eq`,
-//!   `hash-collections`, `no-panic`, and `lossy-cast`: exact float
-//!   assertions and `unwrap` are the *point* of tests. `wall-clock` and
-//!   `safety-comment` apply everywhere in scope — a flaky clock in a
-//!   test is still nondeterminism.
+//!   `mutex-poison` and `threshold-surface`: exact float assertions are
+//!   the *point* of tests.
 //! * `vendor/` (in-tree dependency stand-ins) is exempt from all rules.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::parse::{self, Block, Expr, ExprKind, Stmt};
 
-/// The thirteen rules, in reporting order.
+/// The six rules, in reporting order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: float `==`/`!=` in solver crates.
+    /// Float `==`/`!=` against a literal in solver crates.
     FloatEq,
-    /// R2: `HashMap`/`HashSet` with random state in solver crates.
-    HashCollections,
-    /// R3: wall-clock or entropy sources outside `bench`/`cli`.
-    WallClock,
-    /// R4: `unwrap`/`expect`/`panic!` in library non-test code.
-    NoPanic,
-    /// R5: narrowing `as` casts in solver crates.
-    LossyCast,
-    /// R6: `unsafe` without a `// SAFETY:` comment.
-    SafetyComment,
-    /// R7: nondeterministic dataflow into a solver return value or obs
+    /// Nondeterministic dataflow into a solver return value or obs
     /// report field ([`crate::taint`]).
     TaintFlow,
-    /// R8: `configured_threads`/`host_parallelism` called outside
-    /// `core/src/pool.rs`.
-    ThreadPolicy,
-    /// R9: `Rc`/`RefCell`/`Cell` inside a closure handed to
+    /// `Rc`/`RefCell`/`Cell` inside a closure handed to
     /// `Pool::map_indexed`/`thread::scope`.
     PoolCapture,
-    /// R10: atomic op without a named `Ordering` or without a
+    /// Atomic op without a named `Ordering` or without a
     /// `// ORDERING:` justification.
     AtomicOrdering,
-    /// R11: solver-crate `Mutex` lock without the poison-recovery idiom.
+    /// Solver-crate `Mutex` lock without the poison-recovery idiom.
     MutexPoison,
-    /// R12: call to an unambiguously-`unsafe` fn without its own
-    /// `// SAFETY:` comment.
-    UnsafeCaller,
-    /// R13: solver-crate `fn threshold_*` defined outside the
+    /// Solver-crate `fn threshold_*` defined outside the
     /// [`Thresholder`] trait surface.
     ThresholdSurface,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 6] = [
     Rule::FloatEq,
-    Rule::HashCollections,
-    Rule::WallClock,
-    Rule::NoPanic,
-    Rule::LossyCast,
-    Rule::SafetyComment,
     Rule::TaintFlow,
-    Rule::ThreadPolicy,
     Rule::PoolCapture,
     Rule::AtomicOrdering,
     Rule::MutexPoison,
-    Rule::UnsafeCaller,
     Rule::ThresholdSurface,
 ];
 
@@ -104,17 +77,10 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::FloatEq => "float-eq",
-            Rule::HashCollections => "hash-collections",
-            Rule::WallClock => "wall-clock",
-            Rule::NoPanic => "no-panic",
-            Rule::LossyCast => "lossy-cast",
-            Rule::SafetyComment => "safety-comment",
             Rule::TaintFlow => "taint-flow",
-            Rule::ThreadPolicy => "thread-policy",
             Rule::PoolCapture => "pool-capture",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::MutexPoison => "mutex-poison",
-            Rule::UnsafeCaller => "unsafe-caller",
             Rule::ThresholdSurface => "threshold-surface",
         }
     }
@@ -133,33 +99,11 @@ impl Rule {
                 "float == / != against a float literal in a solver crate; \
                  use explicit ordering, wsyn_core::is_zero, or wsyn_core::total_eq"
             }
-            Rule::HashCollections => {
-                "HashMap/HashSet iteration order is randomized per process; \
-                 use wsyn_core::StateTable or BTreeMap/BTreeSet in solver crates"
-            }
-            Rule::WallClock => {
-                "Instant/SystemTime/entropy-seeded randomness outside bench/cli \
-                 makes solver behaviour time-dependent"
-            }
-            Rule::NoPanic => {
-                ".unwrap()/.expect()/panic! in library non-test code; \
-                 propagate Result, or justify with // wsyn: allow(no-panic)"
-            }
-            Rule::LossyCast => {
-                "narrowing `as` cast in solver-crate DP state packing or index \
-                 arithmetic; use try_into or wsyn_core::narrow_u32"
-            }
-            Rule::SafetyComment => "unsafe without an adjacent // SAFETY: justification",
             Rule::TaintFlow => {
                 "dataflow from a nondeterministic source (clock, env read, thread \
                  id, pointer address, hash order) into a solver return value or \
                  wsyn-obs report field; sanctioned sites live in \
                  taint::TAINT_ALLOWLIST"
-            }
-            Rule::ThreadPolicy => {
-                "configured_threads/host_parallelism called outside \
-                 core/src/pool.rs; thread-count policy has exactly one owner — \
-                 everything else takes a &Pool"
             }
             Rule::PoolCapture => {
                 "closure passed to Pool::map_indexed or thread::scope mentions \
@@ -173,11 +117,6 @@ impl Rule {
                 "Mutex lock in a solver crate must recover from poisoning via \
                  .lock().unwrap_or_else(PoisonError::into_inner) — a panicked \
                  sibling thread must not wedge the solver"
-            }
-            Rule::UnsafeCaller => {
-                "call to a workspace `unsafe fn` needs its own // SAFETY: comment \
-                 within 3 lines above, even when the enclosing unsafe block is \
-                 justified elsewhere"
             }
             Rule::ThresholdSurface => {
                 "fn named threshold_* defined outside the Thresholder trait \
@@ -193,20 +132,12 @@ impl Rule {
     #[must_use]
     pub fn scope_note(self) -> &'static str {
         match self {
-            Rule::FloatEq | Rule::HashCollections | Rule::LossyCast => {
+            Rule::FloatEq => {
                 "solver crates (core, synopsis, haar, hist, prob, conform, obs, \
                  serve); test code exempt"
             }
-            Rule::WallClock => "all crates except bench and cli; applies in test code",
-            Rule::NoPanic => "all crates except bench; test code exempt",
-            Rule::SafetyComment | Rule::PoolCapture | Rule::AtomicOrdering | Rule::UnsafeCaller => {
-                "all crates; applies in test code"
-            }
+            Rule::PoolCapture | Rule::AtomicOrdering => "all crates; applies in test code",
             Rule::TaintFlow => "non-test code of core, synopsis, haar, prob, conform, obs, stream",
-            Rule::ThreadPolicy => {
-                "all crates except the policy owner crates/core/src/pool.rs; \
-                 applies in test code"
-            }
             Rule::MutexPoison => "solver crates; test code exempt",
             Rule::ThresholdSurface => {
                 "solver crates except the trait owner \
@@ -245,14 +176,8 @@ impl std::fmt::Display for Diagnostic {
 /// Which rules apply to a file, derived from its workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scope {
-    /// `float-eq`, `hash-collections`, `lossy-cast` (solver crates).
+    /// `float-eq`, `mutex-poison`, `threshold-surface` (solver crates).
     pub solver: bool,
-    /// `wall-clock`.
-    pub wall_clock: bool,
-    /// `no-panic`.
-    pub no_panic: bool,
-    /// `safety-comment`.
-    pub safety: bool,
     /// Whole file is test/bench/example code (path-derived).
     pub test_path: bool,
 }
@@ -268,58 +193,29 @@ pub const SOLVER_CRATES: &[&str] = &[
 ];
 
 impl Scope {
-    /// A scope with nothing enabled (vendor, non-Rust trees).
-    #[must_use]
-    pub fn none() -> Scope {
-        Scope {
-            solver: false,
-            wall_clock: false,
-            no_panic: false,
-            safety: false,
-            test_path: false,
-        }
-    }
-
     /// Derives the scope from a workspace-relative path with `/`
     /// separators (e.g. `crates/synopsis/src/one_dim/dedup.rs`).
+    /// `None` for `vendor/`, which every rule exempts.
     #[must_use]
-    pub fn classify(rel_path: &str) -> Scope {
+    pub fn classify(rel_path: &str) -> Option<Scope> {
         let parts: Vec<&str> = rel_path.split('/').collect();
         let test_path = parts
             .iter()
             .any(|p| matches!(*p, "tests" | "benches" | "examples"));
         match parts.as_slice() {
-            ["vendor", ..] => Scope::none(),
-            ["crates", name, ..] => Scope {
+            ["vendor", ..] => None,
+            ["crates", name, ..] => Some(Scope {
                 solver: SOLVER_CRATES.contains(name),
-                // bench times things and cli may report durations; both
-                // sit outside every guarantee-carrying path.
-                wall_clock: !matches!(*name, "bench" | "cli"),
-                no_panic: *name != "bench",
-                safety: true,
                 test_path,
-            },
+            }),
             // Root package: facade lib, integration tests, examples.
-            _ => Scope {
+            _ => Some(Scope {
                 solver: false,
-                wall_clock: !test_path,
-                no_panic: true,
-                safety: true,
                 test_path,
-            },
+            }),
         }
     }
 }
-
-/// Idents that read the wall clock or process entropy (rule
-/// `wall-clock`). `RandomState` is `std`'s per-process-seeded hasher.
-const WALL_CLOCK_IDENTS: &[&str] = &[
-    "Instant",
-    "SystemTime",
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-];
 
 /// Per-line allow-comment table.
 pub(crate) struct Allows {
@@ -366,8 +262,8 @@ impl Allows {
     }
 }
 
-/// Lines whose comments carry `marker` (`SAFETY:`, `ORDERING:`). A
-/// multi-line block comment anchors at its last line.
+/// Lines whose comments carry `marker` (`ORDERING:`). A multi-line
+/// block comment anchors at its last line.
 pub(crate) fn marker_lines(tokens: &[Token<'_>], marker: &str) -> Vec<u32> {
     let mut out = Vec::new();
     for t in tokens {
@@ -459,14 +355,16 @@ fn test_mask(code: &[Token<'_>]) -> Vec<bool> {
     mask
 }
 
-/// Runs every applicable rule over one file.
+/// Runs the token rule (`float-eq`) over one file.
 ///
 /// `rel_path` must be workspace-relative with `/` separators — it picks
 /// the [`Scope`] and is echoed into diagnostics.
 #[must_use]
 pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let scope = Scope::classify(rel_path);
-    check_source_scoped(rel_path, src, scope)
+    match Scope::classify(rel_path) {
+        Some(scope) => check_source_scoped(rel_path, src, scope),
+        None => Vec::new(),
+    }
 }
 
 /// [`check_source`] with an explicit scope (used by tests to aim rules
@@ -474,12 +372,11 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 #[must_use]
 pub fn check_source_scoped(rel_path: &str, src: &str, scope: Scope) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if scope == Scope::none() {
+    if !scope.solver || scope.test_path {
         return out;
     }
     let tokens = lex(src);
     let allows = Allows::collect(&tokens);
-    let safety = marker_lines(&tokens, "SAFETY:");
     let code: Vec<Token<'_>> = tokens
         .iter()
         .copied()
@@ -487,116 +384,29 @@ pub fn check_source_scoped(rel_path: &str, src: &str, scope: Scope) -> Vec<Diagn
         .collect();
     let in_test = test_mask(&code);
 
-    let mut push = |line: u32, rule: Rule, message: String| {
-        if !allows.covers(line, rule) {
+    for (i, t) in code.iter().enumerate() {
+        if in_test[i] || t.kind != TokenKind::Punct || !matches!(t.text, "==" | "!=") {
+            continue;
+        }
+        let prev_float = i > 0 && code[i - 1].kind == TokenKind::Float;
+        let next_float = code.get(i + 1).map(|n| n.kind) == Some(TokenKind::Float)
+            || (code.get(i + 1).map(|n| n.text) == Some("-")
+                && code.get(i + 2).map(|n| n.kind) == Some(TokenKind::Float));
+        if (prev_float || next_float) && !allows.covers(t.line, Rule::FloatEq) {
             out.push(Diagnostic {
                 path: rel_path.to_string(),
-                line,
-                rule,
-                message,
+                line: t.line,
+                rule: Rule::FloatEq,
+                message: format!(
+                    "float `{}` against a literal; use explicit ordering or \
+                     wsyn_core::{{is_zero, total_eq}}",
+                    t.text
+                ),
             });
         }
-    };
-
-    for (i, t) in code.iter().enumerate() {
-        let exempt_test = scope.test_path || in_test[i];
-        match t.kind {
-            TokenKind::Punct if matches!(t.text, "==" | "!=") && scope.solver && !exempt_test => {
-                let prev_float = i > 0 && code[i - 1].kind == TokenKind::Float;
-                let next_float = code.get(i + 1).map(|n| n.kind) == Some(TokenKind::Float)
-                    || (code.get(i + 1).map(|n| n.text) == Some("-")
-                        && code.get(i + 2).map(|n| n.kind) == Some(TokenKind::Float));
-                if prev_float || next_float {
-                    push(
-                        t.line,
-                        Rule::FloatEq,
-                        format!(
-                            "float `{}` against a literal; use explicit ordering or \
-                             wsyn_core::{{is_zero, total_eq}}",
-                            t.text
-                        ),
-                    );
-                }
-            }
-            TokenKind::Ident => match t.text {
-                "HashMap" | "HashSet" if scope.solver && !exempt_test => {
-                    push(
-                        t.line,
-                        Rule::HashCollections,
-                        format!(
-                            "`{}` has per-process-randomized iteration order; use \
-                             wsyn_core::StateTable or an ordered map",
-                            t.text
-                        ),
-                    );
-                }
-                name if scope.wall_clock && WALL_CLOCK_IDENTS.contains(&name) => {
-                    push(
-                        t.line,
-                        Rule::WallClock,
-                        format!("`{name}` is a wall-clock/entropy source outside bench/cli"),
-                    );
-                }
-                "unwrap" | "expect"
-                    if scope.no_panic
-                        && !exempt_test
-                        && i > 0
-                        && code[i - 1].text == "."
-                        && code.get(i + 1).map(|n| n.text) == Some("(") =>
-                {
-                    push(
-                        t.line,
-                        Rule::NoPanic,
-                        format!(".{}() in library non-test code; propagate Result", t.text),
-                    );
-                }
-                "panic"
-                    if scope.no_panic
-                        && !exempt_test
-                        && code.get(i + 1).map(|n| n.text) == Some("!") =>
-                {
-                    push(
-                        t.line,
-                        Rule::NoPanic,
-                        "panic! in library non-test code; return an error".to_string(),
-                    );
-                }
-                "as" if scope.solver && !exempt_test => {
-                    if let Some(next) = code.get(i + 1) {
-                        if matches!(next.text, "u8" | "u16" | "u32" | "i8" | "i16" | "i32") {
-                            push(
-                                t.line,
-                                Rule::LossyCast,
-                                format!(
-                                    "narrowing `as {}`; use try_into or wsyn_core::narrow_u32",
-                                    next.text
-                                ),
-                            );
-                        }
-                    }
-                }
-                "unsafe" if scope.safety && !justified_near(&safety, t.line) => {
-                    push(
-                        t.line,
-                        Rule::SafetyComment,
-                        "unsafe without a // SAFETY: comment within 3 lines above".to_string(),
-                    );
-                }
-                _ => {}
-            },
-            _ => {}
-        }
     }
-    out.sort_by_key(|a| (a.line, a.rule));
     out
 }
-
-/// The file that owns thread-count policy: the single module allowed to
-/// call `configured_threads` / `host_parallelism` (rule `thread-policy`).
-pub const THREAD_POLICY_OWNER: &str = "crates/core/src/pool.rs";
-
-/// Thread-count policy entry points (rule `thread-policy`).
-const THREAD_POLICY_FNS: &[&str] = &["configured_threads", "host_parallelism"];
 
 /// The file that owns the thresholding surface: the single module
 /// allowed to declare `threshold_*` entry points (rule
@@ -742,19 +552,17 @@ fn mutex_block(b: &Block, flag: &mut impl FnMut(u32)) {
     }
 }
 
-/// Runs the per-file AST rules (`thread-policy`, `pool-capture`,
-/// `atomic-ordering`, `mutex-poison`, `threshold-surface`) over one
-/// file.
+/// Runs the per-file AST rules (`pool-capture`, `atomic-ordering`,
+/// `mutex-poison`, `threshold-surface`) over one file.
 ///
-/// `taint-flow` and `unsafe-caller` need the whole workspace and run in
+/// `taint-flow` needs the whole workspace and runs in
 /// [`crate::engine`]; this covers everything decidable from a single
 /// parse tree.
 #[must_use]
 pub fn check_ast(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let scope = Scope::classify(rel_path);
-    if scope == Scope::none() {
+    let Some(scope) = Scope::classify(rel_path) else {
         return Vec::new();
-    }
+    };
     let tokens = lex(src);
     let allows = Allows::collect(&tokens);
     let ordering = marker_lines(&tokens, "ORDERING:");
@@ -772,7 +580,6 @@ pub fn check_ast(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         }
     };
 
-    let is_policy_owner = rel_path == THREAD_POLICY_OWNER;
     let is_surface_owner = rel_path == THRESHOLD_SURFACE_OWNER;
     parse::for_each_fn(&file, |f, _self_ty, in_test| {
         let exempt_test = scope.test_path || in_test;
@@ -801,39 +608,21 @@ pub fn check_ast(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         let Some(body) = &f.body else { return };
 
         parse::for_each_expr(body, &mut |e| {
-            // `thread-policy` and `pool-capture` target: plain calls
-            // carry a path, method calls a name.
-            let (call_name, closure_args): (Option<&str>, &[Expr]) = match &e.kind {
+            // `pool-capture` targets: `thread::scope(…)` (a bare
+            // `scope(…)` call is something else) and `.map_indexed(…)`.
+            let closure_args: &[Expr] = match &e.kind {
                 ExprKind::Call { callee, args } => match &callee.kind {
-                    ExprKind::Path(segs) => {
-                        let last = segs.last().map(String::as_str);
-                        // `thread::scope` only; a bare `scope(…)` call is
-                        // something else.
-                        let pool_entry =
-                            last == Some("scope") && segs.iter().any(|s| s == "thread");
-                        (last, if pool_entry { args } else { &[] })
+                    ExprKind::Path(segs)
+                        if segs.last().is_some_and(|s| s == "scope")
+                            && segs.iter().any(|s| s == "thread") =>
+                    {
+                        args
                     }
-                    _ => (None, &[]),
+                    _ => &[],
                 },
-                ExprKind::MethodCall { name, args, .. } => (
-                    Some(name.as_str()),
-                    if name == "map_indexed" { args } else { &[] },
-                ),
-                _ => (None, &[]),
+                ExprKind::MethodCall { name, args, .. } if name == "map_indexed" => args,
+                _ => &[],
             };
-
-            if let Some(name) = call_name {
-                if !is_policy_owner && THREAD_POLICY_FNS.contains(&name) {
-                    push(
-                        e.line,
-                        Rule::ThreadPolicy,
-                        format!(
-                            "`{name}` called outside {THREAD_POLICY_OWNER}; take a \
-                             &Pool instead — thread-count policy has one owner"
-                        ),
-                    );
-                }
-            }
 
             for arg in closure_args {
                 if let ExprKind::Closure { body, .. } = &arg.kind {
@@ -886,7 +675,7 @@ pub fn check_ast(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         });
 
         // `mutex-poison`: solver library code only — tests may use
-        // plain locks (no-panic already exempts them).
+        // plain locks (clippy's allow-unwrap-in-tests exempts them).
         if scope.solver && !exempt_test {
             mutex_block(body, &mut |line| {
                 push(
@@ -912,9 +701,6 @@ mod tests {
     fn all() -> Scope {
         Scope {
             solver: true,
-            wall_clock: true,
-            no_panic: true,
-            safety: true,
             test_path: false,
         }
     }
@@ -954,86 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_collections_flagged_in_solver_scope_only() {
-        let src = "use std::collections::HashMap;";
-        assert_eq!(rules_of(src), vec![Rule::HashCollections]);
-        assert!(check_source("crates/cli/src/args.rs", src).is_empty());
-        assert!(check_source("crates/bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_scoping() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(rules_of(src), vec![Rule::WallClock]);
-        assert!(check_source("crates/bench/src/lib.rs", src).is_empty());
-        assert!(check_source("crates/cli/src/main.rs", src).is_empty());
-        // Applies inside test code too: flaky clocks make flaky tests.
-        assert_eq!(
-            rules_of("#[test]\nfn t() { let t = Instant::now(); }"),
-            vec![Rule::WallClock]
-        );
-    }
-
-    #[test]
-    fn no_panic_variants() {
-        assert_eq!(rules_of("fn f() { x.unwrap(); }"), vec![Rule::NoPanic]);
-        assert_eq!(rules_of("fn f() { x.expect(\"m\"); }"), vec![Rule::NoPanic]);
-        assert_eq!(
-            rules_of("fn f() { panic!(\"boom\"); }"),
-            vec![Rule::NoPanic]
-        );
-        // Not confused by unwrap_or / expect-like names or field access.
-        assert!(rules_of("fn f() { x.unwrap_or(0); }").is_empty());
-        assert!(rules_of("fn f() { x.unwrap_or_else(g); }").is_empty());
-        assert!(rules_of("fn f() { unwrap(); }").is_empty());
-        // Test code may unwrap freely.
-        assert!(rules_of("#[test]\nfn t() { x.unwrap(); }").is_empty());
-        assert!(rules_of("#[cfg(test)]\nmod t {\n fn h() { x.unwrap(); }\n}").is_empty());
-        // …but a sibling item after the test module is back in scope.
-        assert_eq!(
-            rules_of("#[cfg(test)]\nmod t { fn h() {} }\nfn f() { x.unwrap(); }"),
-            vec![Rule::NoPanic]
-        );
-    }
-
-    #[test]
-    fn lossy_cast_targets_narrowing_only() {
-        assert_eq!(
-            rules_of("fn f(x: usize) -> u32 { x as u32 }"),
-            vec![Rule::LossyCast]
-        );
-        assert_eq!(
-            rules_of("fn f(x: u64) -> i16 { x as i16 }"),
-            vec![Rule::LossyCast]
-        );
-        assert!(rules_of("fn f(x: u32) -> u64 { x as u64 }").is_empty());
-        assert!(rules_of("fn f(x: u32) -> usize { x as usize }").is_empty());
-        assert!(rules_of("fn f(x: u32) -> f64 { x as f64 }").is_empty());
-    }
-
-    #[test]
-    fn safety_comment_rule() {
-        assert_eq!(
-            rules_of("fn f() { unsafe { core::hint::unreachable_unchecked() } }"),
-            vec![Rule::SafetyComment]
-        );
-        assert!(rules_of(
-            "fn f() {\n    // SAFETY: caller guarantees the invariant\n    unsafe { g() }\n}"
-        )
-        .is_empty());
-        // A SAFETY comment more than 3 lines away does not count.
-        assert_eq!(
-            rules_of("// SAFETY: too far\n\n\n\n\nfn f() { unsafe { g() } }"),
-            vec![Rule::SafetyComment]
-        );
-        // Applies in test code too.
-        assert_eq!(
-            rules_of("#[test]\nfn t() { unsafe { g() } }"),
-            vec![Rule::SafetyComment]
-        );
-    }
-
-    #[test]
     fn allow_comment_suppresses_same_and_next_line() {
         // Trailing on the offending line.
         assert!(rules_of("fn f(x: f64) -> bool { x == 0.0 } // wsyn: allow(float-eq)").is_empty());
@@ -1044,13 +750,13 @@ mod tests {
         );
         // Multiple rules in one comment.
         assert!(rules_of(
-            "fn f(x: f64, y: usize) {\n    // wsyn: allow(float-eq, lossy-cast)\n    \
+            "fn f(x: f64, y: usize) {\n    // wsyn: allow(taint-flow, float-eq)\n    \
              let _ = (x == 0.0, y as u32);\n}"
         )
         .is_empty());
         // The wrong rule id does not suppress.
         assert_eq!(
-            rules_of("fn f(x: f64) -> bool { x == 0.0 } // wsyn: allow(no-panic)"),
+            rules_of("fn f(x: f64) -> bool { x == 0.0 } // wsyn: allow(taint-flow)"),
             vec![Rule::FloatEq]
         );
         // Two lines below is out of reach.
@@ -1063,37 +769,100 @@ mod tests {
     #[test]
     fn scope_classification() {
         let s = Scope::classify("crates/synopsis/src/one_dim/dedup.rs");
-        assert!(s.solver && s.wall_clock && s.no_panic && s.safety && !s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: false
+            })
+        );
         // The thread pool carries the determinism contract for every
         // parallel path, so it gets the full solver rule set.
         let s = Scope::classify("crates/core/src/pool.rs");
-        assert!(s.solver && s.wall_clock && s.no_panic && s.safety && !s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: false
+            })
+        );
         let s = Scope::classify("crates/aqp/src/lib.rs");
-        assert!(!s.solver && s.wall_clock && s.no_panic);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: false,
+                test_path: false
+            })
+        );
         // The step-function DP carries the same bit-certified guarantee
         // as the wavelet solvers.
         let s = Scope::classify("crates/hist/src/oracle.rs");
-        assert!(s.solver && s.wall_clock && s.no_panic && s.safety && !s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: false
+            })
+        );
         let s = Scope::classify("crates/conform/src/lib.rs");
-        assert!(s.solver && s.wall_clock && s.no_panic && !s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: false
+            })
+        );
         // The server answers must be byte-identical to library answers,
         // so the serve crate is held to the full solver rule set.
         let s = Scope::classify("crates/serve/src/store.rs");
-        assert!(s.solver && s.wall_clock && s.no_panic && s.safety && !s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: false
+            })
+        );
         let s = Scope::classify("crates/serve/tests/loopback.rs");
-        assert!(s.solver && s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: true
+            })
+        );
         let s = Scope::classify("crates/bench/src/bin/exp_e5_scaling.rs");
-        assert!(!s.wall_clock && !s.no_panic && s.safety);
-        let s = Scope::classify("crates/cli/src/main.rs");
-        assert!(!s.wall_clock && s.no_panic);
-        let s = Scope::classify("vendor/rand/src/lib.rs");
-        assert_eq!(s, Scope::none());
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: false,
+                test_path: false
+            })
+        );
+        assert_eq!(Scope::classify("vendor/rand/src/lib.rs"), None);
         let s = Scope::classify("crates/synopsis/tests/one_dim_properties.rs");
-        assert!(s.solver && s.test_path);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: true,
+                test_path: true
+            })
+        );
         let s = Scope::classify("tests/invariants.rs");
-        assert!(s.test_path && !s.wall_clock);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: false,
+                test_path: true
+            })
+        );
         let s = Scope::classify("src/lib.rs");
-        assert!(s.no_panic && s.wall_clock && !s.solver);
+        assert_eq!(
+            s,
+            Some(Scope {
+                solver: false,
+                test_path: false
+            })
+        );
     }
 
     #[test]
@@ -1121,36 +890,6 @@ mod tests {
 
     fn ast_rules_of(path: &str, src: &str) -> Vec<Rule> {
         check_ast(path, src).into_iter().map(|d| d.rule).collect()
-    }
-
-    #[test]
-    fn thread_policy_allows_only_the_pool_module() {
-        let src = "fn f() -> usize { configured_threads() }";
-        assert_eq!(
-            ast_rules_of("crates/synopsis/src/lib.rs", src),
-            vec![Rule::ThreadPolicy]
-        );
-        assert_eq!(
-            ast_rules_of(
-                "crates/cli/src/main.rs",
-                "fn f() -> usize { host_parallelism() }"
-            ),
-            vec![Rule::ThreadPolicy]
-        );
-        assert!(ast_rules_of(THREAD_POLICY_OWNER, src).is_empty());
-        // Applies in test code; the escape hatch still works.
-        assert_eq!(
-            ast_rules_of(
-                "crates/core/src/lib.rs",
-                "#[test] fn t() { assert!(host_parallelism() >= 1); }"
-            ),
-            vec![Rule::ThreadPolicy]
-        );
-        assert!(ast_rules_of(
-            "crates/core/src/lib.rs",
-            "#[test] fn t() { assert!(host_parallelism() >= 1); // wsyn: allow(thread-policy)\n }"
-        )
-        .is_empty());
     }
 
     #[test]
@@ -1223,7 +962,7 @@ mod tests {
                 "crates/core/src/lib.rs",
                 "fn f(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }"
             ),
-            // (`.unwrap()` is the token pass's business, not check_ast's.)
+            // (`.unwrap()` is clippy's `unwrap_used`, not check_ast's.)
             vec![Rule::MutexPoison]
         );
         assert!(ast_rules_of(

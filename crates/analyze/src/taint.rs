@@ -189,8 +189,7 @@ pub const TAINT_ALLOWLIST: &[AllowEntry] = &[
 
 /// Crates whose solver paths and report fields are taint sinks (and in
 /// which sources are scanned). `stream` carries solver guarantees but
-/// sits outside the token-rule `SOLVER_CRATES` set; for dataflow it is
-/// in scope.
+/// sits outside the `SOLVER_CRATES` set; for dataflow it is in scope.
 pub const TAINT_CRATES: &[&str] = &[
     "core", "synopsis", "haar", "prob", "conform", "obs", "stream",
 ];
@@ -628,7 +627,7 @@ mod tests {
              pub fn effect() { let _t = std::time::Instant::now(); }",
         )]);
         // `effect` taints nothing it returns (no `->`) and feeds no
-        // sink, so only silence — the wall-clock *token* rule guards
+        // sink, so only silence — clippy's `disallowed_types` guards
         // the bare read.
         assert!(d.is_empty(), "{d:?}");
     }

@@ -11,6 +11,10 @@
 //! guaranteed max error)` pairs and must not care which family proved
 //! the guarantee.
 
+// Test code is exempt from the panic and narrowing-cast lints: a
+// failed `unwrap` is a failed test.
+#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+
 use std::ops::Range;
 
 use proptest::prelude::*;

@@ -13,6 +13,11 @@
 //! Input files hold one `f64` per line (blank lines and `#` comments
 //! ignored); synopses are stored as JSON.
 
+#![forbid(unsafe_code)]
+// The CLI sits outside every guarantee-carrying path: it may time
+// commands and keep its flag table in a `HashMap`.
+#![allow(clippy::disallowed_types)]
+
 use std::process::ExitCode;
 
 mod args;

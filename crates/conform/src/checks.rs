@@ -39,7 +39,7 @@ use wsyn_synopsis::one_dim::{Config, DedupWorkspace, MinMaxErr, SplitSearch};
 use wsyn_synopsis::thresholder::{GreedyL2, RunParams};
 use wsyn_synopsis::{ErrorMetric, Thresholder};
 
-use crate::gen::{Instance, MetricSpec};
+use crate::gen::Instance;
 use crate::{oracle, Failure};
 
 /// Budgets above this are exercised differentially but not against the
@@ -183,8 +183,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
             .fold(0.0f64, f64::max)
     };
     let orc_budgets = oracle_budgets(inst);
-    for &spec in &inst.metrics {
-        let metric = spec.metric();
+    for &metric in &inst.metrics {
         let opt_by_budget = oracle::optimal_1d(
             solver.tree(),
             &data,
@@ -206,7 +205,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                     "{} kept {} > B={b} ({})",
                     config.id(),
                     r.synopsis.len(),
-                    spec.id()
+                    metric
                 );
                 let achieved = r.synopsis.max_error(&data, metric);
                 ensure!(
@@ -216,7 +215,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                     name,
                     "{} b={b} {}: DP says {} but synopsis achieves {achieved}",
                     config.id(),
-                    spec.id(),
+                    metric,
                     r.objective
                 );
                 let bits = r.objective.to_bits();
@@ -231,7 +230,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                             name,
                             "{} b={b} {} diverges from {}: objective {} vs {}, kept {:?} vs {:?}",
                             config.id(),
-                            spec.id(),
+                            metric,
                             Config::ALL[0].id(),
                             r.objective,
                             f64::from_bits(*wbits),
@@ -254,7 +253,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                 "warm-cold-bits",
                 name,
                 "warm b={b} {}: {} vs cold {wobj}",
-                spec.id(),
+                metric,
                 warm.objective
             );
             if let (Some(opts), Some(pos)) =
@@ -266,11 +265,11 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                     "thm3.1-oracle",
                     name,
                     "b={b} {}: MinMaxErr {wobj} vs oracle {}",
-                    spec.id(),
+                    metric,
                     opts[pos]
                 );
             }
-            if matches!(spec, MetricSpec::Abs) {
+            if matches!(metric, ErrorMetric::Absolute) {
                 let dropped = max_abs_coeff(&|j| windices.contains(&j));
                 ensure!(
                     sum,
@@ -280,9 +279,9 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                     "b={b}: objective {wobj} below largest dropped |coeff| {dropped}"
                 );
             }
-            let int_run = match spec {
-                MetricSpec::Abs => int_solver.run(b),
-                MetricSpec::Rel(s) => int_solver.run_relative(b, s),
+            let int_run = match metric {
+                ErrorMetric::Absolute => int_solver.run(b),
+                ErrorMetric::Relative { sanity: s } => int_solver.run_relative(b, s),
             };
             sum.stats = sum.stats.merged(int_run.stats);
             ensure!(
@@ -291,7 +290,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                 "integer-dp-near-twin",
                 name,
                 "b={b} {}: integer DP {} vs MinMaxErr {wobj}",
-                spec.id(),
+                metric,
                 int_run.true_objective
             );
             let greedy_run = greedy
@@ -303,7 +302,7 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                 "greedy-not-below-optimum",
                 name,
                 "b={b} {}: greedy {} beat the optimum {wobj}",
-                spec.id(),
+                metric,
                 greedy_run.objective
             );
         }
@@ -328,8 +327,7 @@ fn check_stream_rebuild(inst: &Instance, sum: &mut CheckSummary) -> Result<(), F
         .filter(|&b| b >= 1 && b <= n / 2)
         .max()
         .unwrap_or(1);
-    for &spec in &inst.metrics {
-        let metric = spec.metric();
+    for &metric in &inst.metrics {
         let mut adaptive = AdaptiveMaxErrSynopsis::new(&data, b, metric, 2.0)
             .map_err(|e| Failure::new("stream-build", name, e.to_string()))?;
         for &(i, d) in &inst.updates {
@@ -350,7 +348,7 @@ fn check_stream_rebuild(inst: &Instance, sum: &mut CheckSummary) -> Result<(), F
             "stream-rebuild-bits",
             name,
             "b={b} {}: rebuild objective {} vs from-scratch {}",
-            spec.id(),
+            metric,
             adaptive.built_objective(),
             fresh.objective
         );
@@ -360,7 +358,7 @@ fn check_stream_rebuild(inst: &Instance, sum: &mut CheckSummary) -> Result<(), F
             "stream-rebuild-set",
             name,
             "b={b} {}: rebuild kept {:?}, from-scratch kept {:?}",
-            spec.id(),
+            metric,
             adaptive.synopsis().indices(),
             fresh.synopsis.indices()
         );
@@ -382,8 +380,7 @@ fn check_report_determinism(inst: &Instance, sum: &mut CheckSummary) -> Result<(
         .filter(|&b| b >= 1 && b < n)
         .max()
         .unwrap_or(1);
-    for &spec in &inst.metrics {
-        let metric = spec.metric();
+    for &metric in &inst.metrics {
         let render_once = || -> Result<String, Failure> {
             let obs = Collector::recording();
             let solver = MinMaxErr::new(&data)
@@ -393,7 +390,7 @@ fn check_report_determinism(inst: &Instance, sum: &mut CheckSummary) -> Result<(
                 .threshold_with(&params)
                 .map_err(|e| Failure::new("report-run", name, e.to_string()))?;
             let report = obs
-                .report(wsyn_obs::run_meta("minmax", b, &spec.id()))
+                .report(wsyn_obs::run_meta("minmax", b, &metric.to_string()))
                 .ok_or_else(|| {
                     Failure::new("report-run", name, "recording collector lost".to_string())
                 })?;
@@ -407,7 +404,7 @@ fn check_report_determinism(inst: &Instance, sum: &mut CheckSummary) -> Result<(
             "report-byte-identity",
             name,
             "b={b} {}: two identical runs rendered different untimed reports\n--- first ---\n{first}\n--- second ---\n{second}",
-            spec.id()
+            metric
         );
     }
     Ok(())
@@ -428,15 +425,16 @@ fn check_aqp_bounds(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failu
         .filter(|&b| b >= 1 && b < n)
         .max()
         .unwrap_or(1);
-    for &spec in &inst.metrics {
-        let metric = spec.metric();
+    for &metric in &inst.metrics {
         let r = solver.run(b, metric);
         sum.stats = sum.stats.merged(r.stats);
         let recon = r.synopsis.reconstruct();
         for i in 0..n {
-            let iv = match spec {
-                MetricSpec::Abs => wsyn_aqp::bounds::point_absolute(recon[i], r.objective),
-                MetricSpec::Rel(s) => wsyn_aqp::bounds::point_relative(recon[i], r.objective, s),
+            let iv = match metric {
+                ErrorMetric::Absolute => wsyn_aqp::bounds::point_absolute(recon[i], r.objective),
+                ErrorMetric::Relative { sanity: s } => {
+                    wsyn_aqp::bounds::point_relative(recon[i], r.objective, s)
+                }
             };
             ensure!(
                 sum,
@@ -444,13 +442,13 @@ fn check_aqp_bounds(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failu
                 "aqp-point-interval",
                 name,
                 "b={b} {} i={i}: [{}, {}] excludes true value {}",
-                spec.id(),
+                metric,
                 iv.lo,
                 iv.hi,
                 data[i]
             );
         }
-        if matches!(spec, MetricSpec::Abs) {
+        if matches!(metric, ErrorMetric::Absolute) {
             let engine = wsyn_aqp::QueryEngine1d::new(r.synopsis.clone());
             // Exact prefix sums: prefix[hi] = Σ data[0..hi].
             let prefix: Vec<f64> = std::iter::once(0.0)
@@ -702,8 +700,10 @@ fn check_schemes(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
             seq.true_objective
         );
         // Relative-error arms.
-        for &spec in &inst.metrics {
-            let MetricSpec::Rel(s) = spec else { continue };
+        for &metric in &inst.metrics {
+            let ErrorMetric::Relative { sanity: s } = metric else {
+                continue;
+            };
             let rel_exact = exact.run_relative(b, s);
             sum.stats = sum.stats.merged(rel_exact.stats);
             ensure!(

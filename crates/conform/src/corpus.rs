@@ -15,9 +15,10 @@ use wsyn_core::json::{self, Value};
 use wsyn_haar::nd::NdShape;
 use wsyn_synopsis::multi_dim::integer::IntegerExact;
 use wsyn_synopsis::one_dim::MinMaxErr;
+use wsyn_synopsis::ErrorMetric;
 
 use crate::checks::{self, CheckSummary};
-use crate::gen::{Instance, MetricSpec};
+use crate::gen::Instance;
 use crate::Failure;
 
 /// One blessed solver output.
@@ -26,7 +27,7 @@ pub struct Expected {
     /// Solver identifier (`"minmax"` for 1-D, `"integer-exact"` for N-D).
     pub solver: String,
     /// Metric the solver ran under.
-    pub metric: MetricSpec,
+    pub metric: ErrorMetric,
     /// Budget.
     pub budget: usize,
     /// The exact objective (bit-exact through JSON).
@@ -57,12 +58,12 @@ pub fn compute_expected(inst: &Instance) -> Result<Vec<Expected>, Failure> {
     if inst.shape.len() == 1 {
         let solver = MinMaxErr::new(&data)
             .map_err(|e| Failure::new("expected-build", name, e.to_string()))?;
-        for &spec in &inst.metrics {
+        for &metric in &inst.metrics {
             for &b in &inst.budgets {
-                let r = solver.run(b, spec.metric());
+                let r = solver.run(b, metric);
                 out.push(Expected {
                     solver: "minmax".to_string(),
-                    metric: spec,
+                    metric,
                     budget: b,
                     objective: r.objective,
                     retained: r.synopsis.indices(),
@@ -74,17 +75,17 @@ pub fn compute_expected(inst: &Instance) -> Result<Vec<Expected>, Failure> {
             .map_err(|e| Failure::new("expected-build", name, e.to_string()))?;
         let solver = IntegerExact::new(&shape, &inst.data)
             .map_err(|e| Failure::new("expected-build", name, e.to_string()))?;
-        for &spec in &inst.metrics {
+        for &metric in &inst.metrics {
             for &b in &inst.budgets {
-                let r = match spec {
-                    MetricSpec::Abs => solver.run(b),
-                    MetricSpec::Rel(s) => solver.run_relative(b, s),
+                let r = match metric {
+                    ErrorMetric::Absolute => solver.run(b),
+                    ErrorMetric::Relative { sanity: s } => solver.run_relative(b, s),
                 };
                 let mut retained = r.synopsis.positions();
                 retained.sort_unstable();
                 out.push(Expected {
                     solver: "integer-exact".to_string(),
-                    metric: spec,
+                    metric,
                     budget: b,
                     objective: r.true_objective,
                     retained,
@@ -104,7 +105,7 @@ pub fn doc_to_json(doc: &CorpusDoc) -> Value {
         .map(|e| {
             json::object(vec![
                 ("solver", Value::String(e.solver.clone())),
-                ("metric", Value::String(e.metric.id())),
+                ("metric", Value::String(e.metric.to_string())),
                 ("budget", Value::Number(e.budget as f64)),
                 ("objective", Value::Number(e.objective)),
                 (
@@ -142,11 +143,11 @@ pub fn doc_from_json(v: &Value) -> Result<CorpusDoc, String> {
                 .and_then(Value::as_str)
                 .ok_or("expected: missing `solver`")?
                 .to_string();
-            let metric = MetricSpec::parse(
-                e.get("metric")
-                    .and_then(Value::as_str)
-                    .ok_or("expected: missing `metric`")?,
-            )?;
+            let metric = e
+                .get("metric")
+                .and_then(Value::as_str)
+                .ok_or("expected: missing `metric`")?
+                .parse::<ErrorMetric>()?;
             let budget = e
                 .get("budget")
                 .and_then(Value::as_usize)
@@ -218,12 +219,7 @@ pub fn check_doc_observed(
                 name,
                 format!(
                     "output order mismatch: got {}/{}/b={}, corpus has {}/{}/b={}",
-                    got.solver,
-                    got.metric.id(),
-                    got.budget,
-                    want.solver,
-                    want.metric.id(),
-                    want.budget
+                    got.solver, got.metric, got.budget, want.solver, want.metric, want.budget
                 ),
             ));
         }
@@ -234,7 +230,7 @@ pub fn check_doc_observed(
                 format!(
                     "{} {} b={}: objective {} (bits {:#018x}) vs blessed {} (bits {:#018x})",
                     got.solver,
-                    got.metric.id(),
+                    got.metric,
                     got.budget,
                     got.objective,
                     got.objective.to_bits(),
@@ -249,11 +245,7 @@ pub fn check_doc_observed(
                 name,
                 format!(
                     "{} {} b={}: retained {:?} vs blessed {:?}",
-                    got.solver,
-                    got.metric.id(),
-                    got.budget,
-                    got.retained,
-                    want.retained
+                    got.solver, got.metric, got.budget, got.retained, want.retained
                 ),
             ));
         }
@@ -283,7 +275,7 @@ pub fn default_corpus() -> Vec<Instance> {
             shape: vec![n],
             data,
             budgets,
-            metrics: vec![MetricSpec::Abs, MetricSpec::Rel(1.0)],
+            metrics: vec![ErrorMetric::absolute(), ErrorMetric::relative(1.0)],
             updates,
             seed: 0,
         }
@@ -331,7 +323,7 @@ pub fn default_corpus() -> Vec<Instance> {
             shape: vec![4, 4],
             data: vec![3, 3, 8, 9, 3, 4, 9, 11, 20, 21, 5, 4, 19, 22, 4, 3],
             budgets: vec![0, 1, 2, 3, 4, 8, 16],
-            metrics: vec![MetricSpec::Abs, MetricSpec::Rel(1.0)],
+            metrics: vec![ErrorMetric::absolute(), ErrorMetric::relative(1.0)],
             updates: Vec::new(),
             seed: 0,
         },
@@ -341,7 +333,7 @@ pub fn default_corpus() -> Vec<Instance> {
             shape: vec![2, 2, 2],
             data: vec![5, 1, 1, 0, 9, 2, 0, 14],
             budgets: vec![0, 1, 2, 3, 4, 8],
-            metrics: vec![MetricSpec::Abs, MetricSpec::Rel(2.0)],
+            metrics: vec![ErrorMetric::absolute(), ErrorMetric::relative(2.0)],
             updates: Vec::new(),
             seed: 0,
         },

@@ -30,7 +30,7 @@ use wsyn_synopsis::family::{HIST, MINMAX};
 use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::thresholder::RunParams;
-use wsyn_synopsis::{AnySynopsis, Thresholder};
+use wsyn_synopsis::{AnySynopsis, ErrorMetric, Thresholder};
 
 use crate::checks::CheckSummary;
 use crate::gen::Instance;
@@ -62,12 +62,11 @@ fn race_one(
     data: &[f64],
     wavelet: &MinMaxErr,
     hist: &HistThresholder,
-    spec: crate::gen::MetricSpec,
+    metric: ErrorMetric,
     b: usize,
     sum: &mut CheckSummary,
 ) -> Result<Race, Failure> {
     let name = &inst.name;
-    let metric = spec.metric();
 
     macro_rules! ensure {
         ($cond:expr, $check:expr, $($fmt:tt)+) => {
@@ -86,7 +85,7 @@ fn race_one(
         w_measured <= w.objective + 1e-9 * (1.0 + w.objective.abs()),
         "race-wavelet-guarantee",
         "b={b} {}: wavelet realized {w_measured} above objective {}",
-        spec.id(),
+        metric,
         w.objective
     );
 
@@ -105,7 +104,7 @@ fn race_one(
         step.len() <= b,
         "race-budget-respected",
         "b={b} {}: hist kept {} buckets",
-        spec.id(),
+        metric,
         step.len()
     );
     let h_measured = metric.max_error(data, &step.reconstruct());
@@ -113,14 +112,14 @@ fn race_one(
         h_measured <= h.objective + 1e-9 * (1.0 + h.objective.abs()),
         "race-hist-guarantee",
         "b={b} {}: hist realized {h_measured} above objective {}",
-        spec.id(),
+        metric,
         h.objective
     );
 
     // Oracle certification: the same denominators the adapter derives.
-    let denoms: Option<Vec<f64>> = match spec {
-        crate::gen::MetricSpec::Abs => None,
-        crate::gen::MetricSpec::Rel(_) => Some(data.iter().map(|&d| metric.denom(d)).collect()),
+    let denoms: Option<Vec<f64>> = match metric {
+        ErrorMetric::Absolute => None,
+        ErrorMetric::Relative { .. } => Some(data.iter().map(|&d| metric.denom(d)).collect()),
     };
     let oracle = wsyn_hist::oracle::enumerate(
         data,
@@ -135,7 +134,7 @@ fn race_one(
             h.objective.to_bits() == orc.objective.to_bits(),
             "race-hist-oracle-bits",
             "b={b} {}: hist DP {} vs enumeration oracle {} ({} partitions)",
-            spec.id(),
+            metric,
             h.objective,
             orc.objective,
             orc.partitions
@@ -179,11 +178,11 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
         MinMaxErr::new(&data).map_err(|e| Failure::new("race-build", name, e.to_string()))?;
     let hist = HistThresholder::new(&data);
 
-    let mut races: Vec<(crate::gen::MetricSpec, usize, Race)> = Vec::new();
-    for &spec in &inst.metrics {
+    let mut races: Vec<(ErrorMetric, usize, Race)> = Vec::new();
+    for &metric in &inst.metrics {
         for &b in &inst.budgets {
-            let race = race_one(inst, &data, &wavelet, &hist, spec, b, sum)?;
-            races.push((spec, b, race));
+            let race = race_one(inst, &data, &wavelet, &hist, metric, b, sum)?;
+            races.push((metric, b, race));
         }
     }
 
@@ -192,9 +191,15 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
         client
             .put(&column, &data)
             .map_err(|e| Failure::new("race-server-put", name, e))?;
-        for (spec, b, race) in &races {
+        for (metric, b, race) in &races {
             let build = client
-                .build_with_family(&column, *b, &spec.id(), wsyn_synopsis::family::AUTO, false)
+                .build_with_family(
+                    &column,
+                    *b,
+                    &metric.to_string(),
+                    wsyn_synopsis::family::AUTO,
+                    false,
+                )
                 .map_err(|e| Failure::new("race-server-build", name, e))?;
             let picked = build
                 .get("family")
@@ -208,10 +213,7 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
                     format!(
                         "b={b} {}: server auto kept {picked:?}, race predicts {} \
                          (wavelet {} vs hist {})",
-                        spec.id(),
-                        race.winner,
-                        race.wavelet.objective,
-                        race.hist.objective
+                        metric, race.winner, race.wavelet.objective, race.hist.objective
                     ),
                 ));
             }
@@ -228,10 +230,7 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
                 return Err(Failure::new(
                     "race-auto-bits",
                     name,
-                    format!(
-                        "b={b} {}: server auto objective {got:?} vs library {expected}",
-                        spec.id()
-                    ),
+                    format!("b={b} {metric}: server auto objective {got:?} vs library {expected}"),
                 ));
             }
         }
@@ -281,13 +280,13 @@ pub fn report(instances: &[&Instance]) -> Result<String, Failure> {
                 shapes.len() - 1
             }
         };
-        for &spec in &inst.metrics {
+        for &metric in &inst.metrics {
             for &b in &inst.budgets {
-                let race = race_one(inst, &data, &wavelet, &hist, spec, b, &mut sum)?;
+                let race = race_one(inst, &data, &wavelet, &hist, metric, b, &mut sum)?;
                 out.push_str(&format!(
                     "{} {} b={b} wavelet_bits={:016x} kept={} hist_bits={:016x} buckets={} oracle={} winner={}\n",
                     inst.name,
-                    spec.id(),
+                    metric,
                     race.wavelet.objective.to_bits(),
                     race.wavelet.kept,
                     race.hist.objective.to_bits(),
@@ -310,13 +309,13 @@ pub fn report(instances: &[&Instance]) -> Result<String, Failure> {
             client
                 .put(&column, &data)
                 .map_err(|e| Failure::new("race-server-put", &inst.name, e))?;
-            for &spec in &inst.metrics {
+            for &metric in &inst.metrics {
                 for &b in &inst.budgets {
                     let payload = client
                         .request_raw(&wsyn_serve::Request::Build {
                             column: column.clone(),
                             budget: b,
-                            metric: spec.id(),
+                            metric: metric.to_string(),
                             family: Some(wsyn_synopsis::family::AUTO.to_string()),
                             trace: false,
                         })
@@ -324,7 +323,7 @@ pub fn report(instances: &[&Instance]) -> Result<String, Failure> {
                     lines.push(format!(
                         "{}\tauto {} b={b}\t{}",
                         inst.name,
-                        spec.id(),
+                        metric,
                         String::from_utf8_lossy(&payload)
                     ));
                 }

@@ -13,44 +13,6 @@ use rand::{Rng, SeedableRng};
 use wsyn_core::json::{self, Value};
 use wsyn_synopsis::ErrorMetric;
 
-/// An error metric in serializable form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetricSpec {
-    /// Maximum absolute error.
-    Abs,
-    /// Maximum relative error with the given sanity bound.
-    Rel(f64),
-}
-
-impl MetricSpec {
-    /// The runtime metric.
-    #[must_use]
-    pub fn metric(self) -> ErrorMetric {
-        match self {
-            MetricSpec::Abs => ErrorMetric::absolute(),
-            MetricSpec::Rel(s) => ErrorMetric::relative(s),
-        }
-    }
-
-    /// Stable identifier, `"abs"` or `"rel:<sanity>"` ([`ErrorMetric`]'s
-    /// spec form, the CLI `--metric` syntax).
-    #[must_use]
-    pub fn id(self) -> String {
-        self.metric().to_string()
-    }
-
-    /// Parses [`MetricSpec::id`] output with [`ErrorMetric`]'s grammar.
-    ///
-    /// # Errors
-    /// Describes the malformed spec.
-    pub fn parse(text: &str) -> Result<MetricSpec, String> {
-        Ok(match text.parse::<ErrorMetric>()? {
-            ErrorMetric::Absolute => MetricSpec::Abs,
-            ErrorMetric::Relative { sanity } => MetricSpec::Rel(sanity),
-        })
-    }
-}
-
 /// One conformance instance: a data array plus the budgets, metrics and
 /// streaming updates to exercise on it.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +26,7 @@ pub struct Instance {
     /// Budgets to check, ascending.
     pub budgets: Vec<usize>,
     /// Metrics to check.
-    pub metrics: Vec<MetricSpec>,
+    pub metrics: Vec<ErrorMetric>,
     /// Streaming updates `(index, delta)` for the rebuild-equivalence
     /// check (1-D instances only; ignored otherwise).
     pub updates: Vec<(usize, i64)>,
@@ -126,7 +88,12 @@ impl Instance {
             ("budgets", nums(&self.budgets)),
             (
                 "metrics",
-                Value::Array(self.metrics.iter().map(|m| Value::String(m.id())).collect()),
+                Value::Array(
+                    self.metrics
+                        .iter()
+                        .map(|m| Value::String(m.to_string()))
+                        .collect(),
+                ),
             ),
             (
                 "updates",
@@ -153,6 +120,8 @@ impl Instance {
                 .and_then(Value::as_array)
                 .ok_or_else(|| format!("instance: missing array `{name}`"))
         };
+        // The guard keeps `f` an integer of magnitude at most 9e15.
+        #[allow(clippy::cast_possible_truncation)]
         let int_of = |x: &Value, what: &str| {
             let f = x
                 .as_f64()
@@ -184,7 +153,7 @@ impl Instance {
             .map(|x| {
                 x.as_str()
                     .ok_or("instance: metric must be a string".to_string())
-                    .and_then(MetricSpec::parse)
+                    .and_then(str::parse::<ErrorMetric>)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let updates = arr("updates")?
@@ -335,6 +304,8 @@ pub fn generate(kind: Kind, seed: u64) -> Instance {
             let n = 32;
             let amp: i64 = rng.gen_range(5..=30);
             let drift: i64 = rng.gen_range(0..=2);
+            // `i < 32`, far inside i64.
+            #[allow(clippy::cast_possible_wrap)]
             let data = (0..n)
                 .map(|i| {
                     let s: i64 = if i % 2 == 0 { 1 } else { -1 };
@@ -376,7 +347,7 @@ pub fn generate(kind: Kind, seed: u64) -> Instance {
         shape,
         data,
         budgets,
-        metrics: vec![MetricSpec::Abs, MetricSpec::Rel(1.0)],
+        metrics: vec![ErrorMetric::absolute(), ErrorMetric::relative(1.0)],
         updates,
         seed,
     }

@@ -28,6 +28,8 @@
 //! the violated bound. Everything is deterministic: a sweep is described
 //! entirely by `(seed, rounds)`, so CI failures replay locally verbatim.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -251,8 +251,8 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
                     data.len(),
                     &BuildSpec {
                         b,
-                        spec_id: &spec.id(),
-                        metric: spec.metric(),
+                        spec_id: &spec.to_string(),
+                        metric: *spec,
                     },
                 )?;
             }
@@ -289,8 +289,8 @@ pub fn check(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
                 updated.len(),
                 &BuildSpec {
                     b,
-                    spec_id: &spec.id(),
-                    metric: spec.metric(),
+                    spec_id: &spec.to_string(),
+                    metric: spec,
                 },
             )?;
         }
@@ -336,7 +336,7 @@ pub fn answer_stream(instances: &[&Instance]) -> Result<String, Failure> {
                         &Request::Build {
                             column: column.clone(),
                             budget: b,
-                            metric: spec.id(),
+                            metric: spec.to_string(),
                             family: None,
                             trace: false,
                         },

@@ -124,3 +124,19 @@ fn corpus_doc_json_roundtrips() {
         assert_eq!(back.expected, doc.expected);
     }
 }
+
+/// An instance whose metric list holds an invalid sanity bound is
+/// rejected when it is parsed, not later when a check runs it.
+#[test]
+fn invalid_sanity_bound_is_a_parse_error() {
+    let mut inst = corpus::default_corpus().remove(0);
+    inst.metrics = vec![ErrorMetric::absolute()];
+    let text = inst.to_json().pretty();
+    for bad in ["rel:0", "rel:-1", "rel:nan", "rel:inf"] {
+        let edited = text.replace("\"abs\"", &format!("\"{bad}\""));
+        let value = wsyn_core::json::Value::parse(&edited).expect("valid JSON");
+        let err = wsyn_conform::gen::Instance::from_json(&value)
+            .expect_err("an invalid sanity bound must not parse");
+        assert!(err.contains("sanity"), "{bad}: {err}");
+    }
+}

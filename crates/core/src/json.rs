@@ -50,6 +50,8 @@ impl Value {
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
         match self {
+            // The guard bounds `x` to a non-negative integer below 2^44.
+            #[allow(clippy::cast_possible_truncation)]
             Value::Number(x)
                 if *x >= 0.0 && crate::is_zero(x.fract()) && *x <= f64::from(u32::MAX) * 4096.0 =>
             {
@@ -195,6 +197,8 @@ fn write_number(out: &mut String, x: f64) {
         // JSON has no Inf/NaN; null is the conventional degradation.
         out.push_str("null");
     } else if crate::is_zero(x.fract()) && x.abs() < 1e15 {
+        // An integer below 1e15 in magnitude fits `i64` exactly.
+        #[allow(clippy::cast_possible_truncation)]
         let _ = write!(out, "{}", x as i64);
     } else {
         // Shortest roundtrip representation.

@@ -163,7 +163,7 @@ pub fn narrow_u32(x: usize) -> u32 {
         // The single checked-narrowing choke point; reaching this arm
         // means a caller broke its documented N < 2^32 bound and no
         // recoverable answer exists.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::panic)]
         Err(_) => panic!("narrow_u32: {x} exceeds a u32 DP state field"),
     }
 }
@@ -182,7 +182,7 @@ pub fn narrow_u8(x: usize) -> u8 {
     match u8::try_from(x) {
         Ok(v) => v,
         // Same contract as narrow_u32: fail loudly at the one choke point.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::panic)]
         Err(_) => panic!("narrow_u8: {x} exceeds a u8 tree-level field"),
     }
 }
@@ -198,7 +198,7 @@ pub fn narrow_i32(x: usize) -> i32 {
     match i32::try_from(x) {
         Ok(v) => v,
         // Same contract as narrow_u32: fail loudly at the one choke point.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::panic)]
         Err(_) => panic!("narrow_i32: {x} exceeds an i32 exponent field"),
     }
 }
@@ -212,6 +212,9 @@ pub fn narrow_i32(x: usize) -> i32 {
 pub fn hash_state(key: u128) -> u64 {
     const M1: u64 = 0x9e37_79b9_7f4a_7c15; // 2^64 / φ
     const M2: u64 = 0xc2b2_ae3d_27d4_eb4f; // xxHash64 prime 2
+
+    // Keeping only the low 64 bits is the point: `hi` carries the rest.
+    #[allow(clippy::cast_possible_truncation)]
     let lo = key as u64;
     let hi = (key >> 64) as u64;
     // Two independent multiplies (they pipeline) and one fold keep the
@@ -219,6 +222,14 @@ pub fn hash_state(key: u128) -> u64 {
     // the critical path in front of every memo cache miss.
     let h = lo.wrapping_mul(M1) ^ hi.wrapping_mul(M2);
     h ^ (h >> 32)
+}
+
+/// The home slot index of `key` before masking. On 32-bit targets the
+/// hash loses its high half, which the table mask drops anyway.
+#[inline]
+#[allow(clippy::cast_possible_truncation)]
+fn home_slot(key: u128) -> usize {
+    hash_state(key) as usize
 }
 
 /// An open-addressing (linear-probe) memo table keyed on a packed `u128`
@@ -297,7 +308,7 @@ impl<V> StateTable<V> {
             .iter()
             .enumerate()
             .filter(|(_, &k)| k != EMPTY_KEY)
-            .map(|(i, &k)| i.wrapping_sub(hash_state(k) as usize) & mask)
+            .map(|(i, &k)| i.wrapping_sub(home_slot(k)) & mask)
             .sum()
     }
 
@@ -311,7 +322,7 @@ impl<V> StateTable<V> {
     fn probe(&self, key: u128) -> (usize, bool) {
         let keys = self.keys.as_slice();
         let mask = keys.len() - 1;
-        let mut i = hash_state(key) as usize;
+        let mut i = home_slot(key);
         let found = loop {
             let k = keys[i & mask];
             if k == key {
@@ -369,7 +380,7 @@ impl<V> StateTable<V> {
             if key == EMPTY_KEY {
                 continue;
             }
-            let mut i = (hash_state(key) as usize) & mask;
+            let mut i = home_slot(key) & mask;
             while self.keys[i] != EMPTY_KEY {
                 i = (i + 1) & mask;
             }
@@ -601,6 +612,9 @@ pub fn host_parallelism() -> usize {
 }
 
 #[cfg(test)]
+// Tests are exempt from the narrowing-cast lints: their casts narrow
+// small literal loop indices.
+#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
 
@@ -745,8 +759,10 @@ mod tests {
     #[test]
     fn host_parallelism_is_at_least_one() {
         // Direct probe of the policy primitive itself; everything else
-        // must go through Pool. wsyn: allow(thread-policy)
-        assert!(host_parallelism() >= 1);
+        // must go through Pool.
+        #[allow(clippy::disallowed_methods)]
+        let n = host_parallelism();
+        assert!(n >= 1);
     }
 
     #[test]

@@ -38,6 +38,10 @@
 //!   flips an `aborted` flag during unwind and wakes the caller, and
 //!   the scope join then propagates the panic.
 
+// The one owner of thread-count policy: everywhere else, clippy.toml's
+// `disallowed-methods` rejects `configured_threads`/`host_parallelism`.
+#![allow(clippy::disallowed_methods)]
+
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -247,6 +251,9 @@ impl Pool {
 }
 
 #[cfg(test)]
+// Tests are exempt from the narrowing-cast lints: their casts narrow
+// small literal loop indices.
+#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
 

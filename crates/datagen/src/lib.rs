@@ -24,6 +24,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Narrowing casts are linted in the solver crates only (DESIGN.md §8).
+#![allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

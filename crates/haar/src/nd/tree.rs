@@ -302,7 +302,7 @@ impl ErrorTreeNd {
         let mut out = self.coeffs.clone();
         // Shape was validated hypercube at construction; the inverse
         // transform cannot fail on it.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         nonstandard::inverse_in_place(&mut out).expect("validated hypercube");
         out
     }
@@ -319,7 +319,7 @@ impl ErrorTreeNd {
         }
         // Shape was validated hypercube at construction; the inverse
         // transform cannot fail on it.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         nonstandard::inverse_in_place(&mut out).expect("validated hypercube");
         out
     }
@@ -545,7 +545,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    #![allow(clippy::needless_range_loop)]
+    // Tests are exempt from the narrowing-cast lints: their casts narrow
+    // small child indices.
+    #![allow(clippy::needless_range_loop, clippy::cast_possible_truncation)]
     use super::*;
     use crate::nd::NdShape;
     use proptest::prelude::*;

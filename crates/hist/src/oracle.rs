@@ -139,7 +139,7 @@ pub fn enumerate(
         if starts.len() < b_eff {
             // The recursion is seeded with `starts = [0]` and only ever
             // pushes, so the slice is never empty here.
-            // wsyn: allow(no-panic)
+            #[allow(clippy::expect_used)]
             let last = *starts.last().expect("starts never empty");
             for next in (last + 1)..n {
                 starts.push(next);

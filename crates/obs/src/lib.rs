@@ -295,7 +295,8 @@ impl Collector {
             // Timing is an explicitly opted-in diagnostic: reports carry
             // elapsed_ns only under this feature, never in the
             // byte-compared untimed form.
-            start: self.inner.as_ref().map(|_| std::time::Instant::now()), // wsyn: allow(wall-clock)
+            #[allow(clippy::disallowed_types)]
+            start: self.inner.as_ref().map(|_| std::time::Instant::now()),
         }
     }
 
@@ -372,16 +373,17 @@ impl Collector {
 pub struct SpanGuard<'a> {
     collector: &'a Collector,
     #[cfg(feature = "timing")]
-    start: Option<std::time::Instant>, // wsyn: allow(wall-clock)
+    #[allow(clippy::disallowed_types)]
+    start: Option<std::time::Instant>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(inner) = &self.collector.inner {
             #[cfg(feature = "timing")]
-            let elapsed = self.start.map(|s| {
-                u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX) // wsyn: allow(no-panic)
-            });
+            let elapsed = self
+                .start
+                .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
             #[cfg(not(feature = "timing"))]
             let elapsed = None;
             inner.borrow_mut().exit(elapsed);

@@ -5,6 +5,11 @@
 //! heap allocations. (The recording collector, by contrast, must
 //! allocate; a companion assertion keeps the harness honest.)
 
+// A `GlobalAlloc` cannot be written without `unsafe`; every block below
+// carries its `// SAFETY:` justification (clippy's
+// `undocumented_unsafe_blocks`).
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

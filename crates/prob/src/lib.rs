@@ -108,6 +108,7 @@ impl ProbAssignment {
 
     /// Draws one synopsis by independent biased coin flips: coefficient `i`
     /// is retained with probability `y_i` and stored as `c_i / y_i`.
+    #[allow(clippy::expect_used)]
     pub fn draw<R: Rng>(&self, rng: &mut R) -> Synopsis1d {
         let entries: Vec<(usize, f64)> = self
             .entries
@@ -117,7 +118,6 @@ impl ProbAssignment {
             .collect();
         Synopsis1d::from_entries(self.n, entries)
             // The entry domain was validated when the assignment was built.
-            // wsyn: allow(no-panic)
             .expect("assignment domain validated at construction")
     }
 
@@ -147,7 +147,7 @@ impl ProbAssignment {
 /// coefficients contribute `c²` / `|c|` depending on the caller).
 fn max_normalized_path_sum(data: &[f64], sanity: f64, contrib: &[f64], f: fn(f64) -> f64) -> f64 {
     // Callers pass the same data an ErrorTree1d was already built from.
-    // wsyn: allow(no-panic)
+    #[allow(clippy::expect_used)]
     let tree = ErrorTree1d::from_data(data).expect("data validated upstream");
     let mut worst = 0.0f64;
     for (i, &d) in data.iter().enumerate() {
@@ -177,7 +177,7 @@ fn round_grid(v: f64, eps: f64) -> f64 {
     let k = (v.ln() / (1.0 + eps).ln()).floor();
     // Float→int after an explicit clamp into i32 range: saturating by
     // construction, and the grid exponent is meaningless beyond ±600.
-    // wsyn: allow(lossy-cast)
+    #[allow(clippy::cast_possible_truncation)]
     let k = k.clamp(-600.0, 600.0) as i32;
     (1.0 + eps).powi(k)
 }
@@ -267,7 +267,7 @@ impl ProbDp<'_> {
         }
         let key = pack_state_1d(narrow_u32(id), narrow_u32(t), v.to_bits());
         // Trace replays decisions along states solve() materialized.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         let &(_, u, tl) = self.memo.get(key).expect("trace visits only solved states");
         let (u, tl) = (u as usize, tl as usize);
         let c = self.tree.coeff(id);
@@ -428,11 +428,14 @@ impl MinRelBias {
         // raising retention probabilities where it cuts the most variance
         // (GG's construction likewise uses the full space).
         let total_units = b * q;
+        // `y` is a probability, so each rounded share is at most `q`.
+        #[allow(clippy::cast_possible_truncation)]
         let mut used: usize = a
             .entries
             .iter()
             .map(|&(_, y, _)| (y * q as f64).round() as usize)
             .sum();
+        #[allow(clippy::cast_possible_truncation)]
         let mut units: Vec<(usize, usize, f64)> = a
             .entries
             .iter()
@@ -648,6 +651,8 @@ mod tests {
             entries,
             stats: DpStats::default(),
         };
+        // Test code may hash: only the set's size is read.
+        #[allow(clippy::disallowed_types)]
         let mut errors = std::collections::HashSet::new();
         for seed in 0..32u64 {
             let mut rng = StdRng::seed_from_u64(seed);

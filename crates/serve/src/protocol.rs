@@ -550,6 +550,9 @@ impl Response {
 }
 
 #[cfg(test)]
+// Tests are exempt from the narrowing-cast lints: their casts narrow
+// small literal loop indices.
+#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
 

@@ -43,6 +43,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The shard owning `name` among `shards` shards.
 #[must_use]
+// The remainder is below `shards`, a `usize`.
+#[allow(clippy::cast_possible_truncation)]
 pub fn shard_of(name: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;

@@ -16,10 +16,10 @@
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
-//! applies them through the tree one at a time — replicating
-//! `AdaptiveMaxErrSynopsis::update`'s degradation rule exactly, rebuild
-//! triggers included — before the next build, query, flush, or info
-//! touches the column. The rebuild decision therefore depends only on
+//! applies them through the tree one at a time — checking
+//! [`wsyn_stream::rebuild_due`], the rule `AdaptiveMaxErrSynopsis::update`
+//! applies, after each one — before the next build, query, flush, or
+//! info touches the column. The rebuild decision therefore depends only on
 //! the update sequence, never on when the drain runs, which is what
 //! keeps server answers byte-identical to library answers.
 //!
@@ -34,7 +34,7 @@
 
 use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
 use wsyn_obs::Collector;
-use wsyn_stream::{DynamicErrorTree, StreamingMaxErr};
+use wsyn_stream::{check_tolerance, rebuild_due, DynamicErrorTree, StreamingMaxErr};
 use wsyn_synopsis::family::{AUTO, HIST, MINMAX};
 use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
@@ -225,14 +225,12 @@ impl Column {
     /// a rebuild triggers once the conservative guarantee exceeds
     /// `tolerance ×` the built objective (absolute metric) or drift
     /// exceeds `(tolerance − 1) ×` the sanity/objective scale
-    /// (relative), exactly as in `AdaptiveMaxErrSynopsis::update`.
+    /// (relative): [`wsyn_stream::rebuild_due`].
     ///
     /// # Errors
     /// A non-power-of-two or empty data vector, or `tolerance < 1`.
     pub fn new(data: &[f64], tolerance: f64) -> Result<Column, String> {
-        if tolerance < 1.0 || tolerance.is_nan() {
-            return Err(format!("tolerance must be >= 1, got {tolerance}"));
-        }
+        let tolerance = check_tolerance(tolerance).map_err(|e| e.to_string())?;
         let tree = DynamicErrorTree::new(data).map_err(|e| e.to_string())?;
         Ok(Column {
             tree,
@@ -292,10 +290,10 @@ impl Column {
         Ok(self.pending.len())
     }
 
-    /// Applies every pending update through the tree, replicating the
-    /// streaming degradation rule per update (a rebuild can trigger
-    /// mid-batch, resetting drift, exactly as a stream of
-    /// `AdaptiveMaxErrSynopsis::update` calls would).
+    /// Applies every pending update through the tree, checking the
+    /// streaming rebuild rule ([`wsyn_stream::rebuild_due`]) per update
+    /// (a rebuild can trigger mid-batch, resetting drift, exactly as a
+    /// stream of `AdaptiveMaxErrSynopsis::update` calls would).
     ///
     /// # Errors
     /// A rebuild failure (propagated from the solver).
@@ -312,15 +310,12 @@ impl Column {
                 None => false,
                 Some(built) => {
                     built.drift_abs += delta.abs();
-                    match built.metric {
-                        ErrorMetric::Absolute => {
-                            built.guarantee()
-                                > self.tolerance * built.objective.max(f64::MIN_POSITIVE)
-                        }
-                        ErrorMetric::Relative { sanity } => {
-                            built.drift_abs > (self.tolerance - 1.0) * sanity.max(built.objective)
-                        }
-                    }
+                    rebuild_due(
+                        built.metric,
+                        self.tolerance,
+                        built.objective,
+                        built.drift_abs,
+                    )
                 }
             };
             if degraded {
@@ -705,7 +700,7 @@ impl StreamColumn {
         if builder.is_complete() {
             // The builder is consumed by finalize; on failure the column
             // is poisoned (the data went by and was never stored).
-            // wsyn: allow(no-panic)
+            #[allow(clippy::expect_used)]
             let builder = self.builder.take().expect("builder present");
             match builder.finalize() {
                 Ok(run) => {

@@ -5,6 +5,10 @@
 //! assertion: a benign client's answer stream, interleaved with every
 //! fault, stays byte-identical to an undisturbed run.
 
+// Test code is exempt from the panic lints: a failed `expect` or
+// `unwrap` is a failed test.
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};

@@ -1,6 +1,10 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real
 //! sockets, answers compared bit-for-bit against library runs.
 
+// Test code is exempt from the panic lints: a failed `expect` or
+// `unwrap` is a failed test.
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
 use wsyn_aqp::QueryEngine1d;
 use wsyn_core::json::Value;
 use wsyn_serve::{Client, QueryKind, Request, ServeConfig, Server};

@@ -30,6 +30,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Narrowing casts are linted in the solver crates only (DESIGN.md §8).
+#![allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 
 use wsyn_core::WsynError;
 use wsyn_haar::{is_pow2, log2_exact, transform, ErrorTree1d, HaarError};
@@ -170,10 +172,10 @@ impl DynamicErrorTree {
     ///
     /// # Panics
     /// Never (domain validated at construction).
+    #[allow(clippy::expect_used)]
     pub fn snapshot(&self) -> ErrorTree1d {
         // The domain (power-of-two, non-empty) was validated when the
         // dynamic tree was built; the same coefficients always re-wrap.
-        // wsyn: allow(no-panic)
         ErrorTree1d::from_coeffs(self.coeffs.clone()).expect("validated domain")
     }
 
@@ -182,7 +184,7 @@ impl DynamicErrorTree {
     /// streams). Returns the maximum absolute drift that was corrected.
     pub fn rebuild(&mut self) -> f64 {
         // Same validated domain as `snapshot`.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         let fresh = transform::forward(&self.data).expect("validated domain");
         let drift = self
             .coeffs
@@ -192,6 +194,48 @@ impl DynamicErrorTree {
             .fold(0.0f64, f64::max);
         self.coeffs = fresh;
         drift
+    }
+}
+
+/// Checks a rebuild tolerance: it must be at least `1` (a synopsis is
+/// rebuilt once its guarantee may have grown by that factor).
+///
+/// # Errors
+/// [`WsynError::Invalid`] when `tolerance < 1` or is NaN.
+pub fn check_tolerance(tolerance: f64) -> Result<f64, WsynError> {
+    if tolerance >= 1.0 {
+        Ok(tolerance)
+    } else {
+        Err(WsynError::invalid(format!(
+            "tolerance must be >= 1, got {tolerance}"
+        )))
+    }
+}
+
+/// The streaming rebuild rule: whether a synopsis built with objective
+/// `built_objective` under `metric` has degraded past `tolerance` after
+/// `drift_abs = Σ|δ|` of updates (see [`AdaptiveMaxErrSynopsis`]).
+/// [`AdaptiveMaxErrSynopsis::update`] and the server's batched drain
+/// both apply it after every update, so their rebuilds agree by
+/// construction.
+#[inline]
+#[must_use]
+pub fn rebuild_due(
+    metric: ErrorMetric,
+    tolerance: f64,
+    built_objective: f64,
+    drift_abs: f64,
+) -> bool {
+    match metric {
+        ErrorMetric::Absolute => {
+            built_objective + drift_abs > tolerance * built_objective.max(f64::MIN_POSITIVE)
+        }
+        // A drifted relative guarantee is not cheaply boundable (the
+        // denominator may have shrunk too), so any drift beyond
+        // (tolerance − 1) sanity-or-objective equivalents triggers.
+        ErrorMetric::Relative { sanity } => {
+            drift_abs > (tolerance - 1.0) * sanity.max(built_objective)
+        }
     }
 }
 
@@ -239,10 +283,8 @@ impl AdaptiveMaxErrSynopsis {
     ///
     /// # Errors
     /// Describes the failure: an invalid domain
-    /// ([`WsynError::Transform`]) or the default thresholder's refusal.
-    ///
-    /// # Panics
-    /// Panics when `tolerance < 1`.
+    /// ([`WsynError::Transform`]), a tolerance below `1`
+    /// ([`WsynError::Invalid`]), or the default thresholder's refusal.
     pub fn new(
         data: &[f64],
         b: usize,
@@ -258,10 +300,8 @@ impl AdaptiveMaxErrSynopsis {
     /// scheme when rebuild latency matters more than tightness).
     ///
     /// # Errors
-    /// Propagates the factory's or the thresholder's refusal.
-    ///
-    /// # Panics
-    /// Panics when `tolerance < 1`.
+    /// A tolerance below `1` ([`WsynError::Invalid`]), or the factory's
+    /// or the thresholder's refusal.
     pub fn with_factory(
         tree: DynamicErrorTree,
         b: usize,
@@ -269,7 +309,7 @@ impl AdaptiveMaxErrSynopsis {
         tolerance: f64,
         factory: ThresholderFactory,
     ) -> Result<Self, WsynError> {
-        assert!(tolerance >= 1.0, "tolerance must be >= 1");
+        let tolerance = check_tolerance(tolerance)?;
         let mut scratch = SolverScratch::new();
         let run = factory(tree.data())?.threshold_reusing(b, metric, &mut scratch)?;
         let current = run.synopsis.into_one("the rebuild policy")?;
@@ -304,18 +344,12 @@ impl AdaptiveMaxErrSynopsis {
     pub fn update(&mut self, i: usize, delta: f64) -> Result<bool, WsynError> {
         self.tree.update(i, delta);
         self.drift_abs += delta.abs();
-        let degraded = match self.metric {
-            ErrorMetric::Absolute => {
-                self.guarantee() > self.tolerance * self.built_objective.max(f64::MIN_POSITIVE)
-            }
-            // For relative error the denominator may also have shrunk;
-            // a drifted relative guarantee is not cheaply boundable, so any
-            // accumulated drift beyond (tolerance-1)·s-equivalents triggers.
-            ErrorMetric::Relative { sanity } => {
-                self.drift_abs > (self.tolerance - 1.0) * sanity.max(self.built_objective)
-            }
-        };
-        if degraded {
+        if rebuild_due(
+            self.metric,
+            self.tolerance,
+            self.built_objective,
+            self.drift_abs,
+        ) {
             self.rebuild()?;
             Ok(true)
         } else {
@@ -494,6 +528,21 @@ mod tests {
         }
         assert!(rebuild_seen, "tolerance 1.5 should trigger rebuilds");
         assert!(a.rebuilds() > 0);
+    }
+
+    #[test]
+    fn tolerance_below_one_or_nan_is_an_error() {
+        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
+        for tolerance in [0.5, f64::NAN] {
+            let err = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), tolerance)
+                .expect_err("tolerance < 1 must be refused");
+            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("tolerance must be >= 1, got {tolerance}")
+            );
+        }
+        assert!(AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), 1.0).is_ok());
     }
 
     #[test]

@@ -457,9 +457,9 @@ impl StreamingMaxErr {
     fn merge_top(&mut self) {
         self.obs.add("stream_merges", 1);
         // `push` guarantees two equal-height entries are on top.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         let right = self.stack.pop().expect("merge needs two entries");
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         let left = self.stack.pop().expect("merge needs two entries");
         let height = left.height + 1;
         // Bit-identical to `transform::forward`'s pairwise cascade.
@@ -491,7 +491,6 @@ impl StreamingMaxErr {
             }
             // Siblings cover equal-size blocks, so equal height implies
             // equal representation by construction.
-            // wsyn: allow(no-panic)
             _ => unreachable!("equal-height siblings share a representation"),
         };
         self.stack.push(Pending { height, avg, repr });
@@ -674,7 +673,7 @@ impl StreamingMaxErr {
                         table.copy_set(r, r.span_of(b - 1 - keep_la, qi));
                     } else {
                         // `drop_val` finite implies the targets exist.
-                        // wsyn: allow(no-panic)
+                        #[allow(clippy::expect_used)]
                         let (ql, qr) = drop_target.expect("finite drop has targets");
                         table.copy_set(l, l.span_of(drop_la, ql));
                         table.copy_set(r, r.span_of(b - drop_la, qr));
@@ -707,7 +706,7 @@ impl StreamingMaxErr {
         let obs = self.obs.clone();
         let guard = obs.span("stream_finalize");
         // A complete stream leaves exactly the height-m root pending.
-        // wsyn: allow(no-panic)
+        #[allow(clippy::expect_used)]
         let top = self.stack.pop().expect("complete stream has a root");
         let c0 = top.avg;
         let b = self.budget;
@@ -770,12 +769,12 @@ impl StreamingMaxErr {
                         self.scale
                     )));
                 }
+                #[allow(clippy::expect_used)]
                 let span = if keep {
                     entries.push((0, c0));
                     t.span_of(b - 1, q_zero)
                 } else {
                     // A finite drop value implies the target exists.
-                    // wsyn: allow(no-panic)
                     t.span_of(b, drop_q.expect("finite drop has a target"))
                 };
                 let (idx, val) = t.set_entries(span);

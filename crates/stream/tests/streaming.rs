@@ -5,6 +5,10 @@
 //! `MinMaxErr` optimum, and two passes over the same stream must agree
 //! bit for bit.
 
+// Test code is exempt from the panic lints: a failed `expect` or
+// `unwrap` is a failed test.
+#![allow(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use wsyn_stream::StreamingMaxErr;
 use wsyn_synopsis::one_dim::MinMaxErr;

@@ -162,6 +162,8 @@ pub fn error_quantile(mut errors: Vec<f64>, q: f64) -> f64 {
     assert!(!errors.is_empty(), "empty errors");
     assert!((0.0..=1.0).contains(&q), "q must be in [0,1], got {q}");
     errors.sort_by(f64::total_cmp);
+    // `q` is in [0, 1], so the rank is at most `errors.len()`.
+    #[allow(clippy::cast_possible_truncation)]
     let rank = ((q * errors.len() as f64).ceil() as usize).clamp(1, errors.len());
     errors[rank - 1]
 }

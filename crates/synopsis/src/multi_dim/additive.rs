@@ -29,6 +29,7 @@ use crate::synopsis::SynopsisNd;
 
 /// Rounds `v` down (towards `-∞`) to the nearest value in
 /// `{0} ∪ {±(1+eps)^k : k ≥ 0}` — the paper's `round_ε`.
+#[allow(clippy::cast_possible_truncation)]
 pub fn round_eps(v: f64, eps: f64) -> f64 {
     debug_assert!(eps > 0.0);
     let a = v.abs();
@@ -39,10 +40,8 @@ pub fn round_eps(v: f64, eps: f64) -> f64 {
     // Float→int casts saturate at i32 bounds, where (1+eps)^k has long
     // since overflowed to ±inf — exactly the intended degradation.
     if v > 0.0 {
-        // wsyn: allow(lossy-cast)
         (1.0 + eps).powi(l.floor() as i32)
     } else {
-        // wsyn: allow(lossy-cast)
         -(1.0 + eps).powi(l.ceil() as i32)
     }
 }
@@ -370,6 +369,9 @@ impl ChildVal {
 }
 
 #[cfg(test)]
+// Tests are exempt from the narrowing-cast lints: their casts narrow
+// small literal loop indices.
+#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::oracle;

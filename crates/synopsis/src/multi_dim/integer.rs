@@ -96,11 +96,11 @@ impl IntegerExact {
     /// Runs the exact DP for budget `b`, minimizing maximum absolute error.
     pub fn run(&self, b: usize) -> NdThresholdResult {
         let outcome = run_int_dp(&self.tree, &self.scaled.coeffs, None, b);
+        #[allow(clippy::expect_used)]
         let value = outcome
             .value
             // With no forced-keep threshold the empty synopsis is always
             // feasible, so the DP cannot come back infeasible.
-            // wsyn: allow(no-panic)
             .expect("unforced DP always feasible (empty synopsis)");
         let synopsis = SynopsisNd::from_positions(&self.tree, &outcome.retained);
         let true_objective = synopsis.max_error(&self.data_f64, ErrorMetric::absolute());
@@ -650,6 +650,7 @@ impl IntSolver<'_> {
 }
 
 /// Integer incoming error for each child quadrant.
+#[allow(clippy::expect_used)]
 fn child_errors_int(e: i64, coeffs: &[CoeffI], s_mask: u32, children: &NodeChildren) -> Vec<i64> {
     let count = match children {
         NodeChildren::Nodes(v) => v.len(),
@@ -671,7 +672,6 @@ fn child_errors_int(e: i64, coeffs: &[CoeffI], s_mask: u32, children: &NodeChild
                         // transform time) keeps every path sum inside i64;
                         // overflow here means corrupted inputs, not a
                         // recoverable state.
-                        // wsyn: allow(no-panic)
                         .expect("integer error accumulation overflow");
                 }
             }
@@ -824,6 +824,8 @@ mod tests {
 }
 
 #[cfg(test)]
+// Tests are exempt from the narrowing-cast lints.
+#[allow(clippy::cast_possible_truncation)]
 mod warm_sweep_tests {
     //! Warm-vs-cold bit-identity for the multi-dimensional τ-sweep: one
     //! `DpWorkspace` threaded through every τ via [`run_int_dp_in`] must

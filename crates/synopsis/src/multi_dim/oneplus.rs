@@ -272,10 +272,10 @@ impl OnePlusEps {
         }
         obs.add("taus", reports.len());
         drop(sweep_span);
+        #[allow(clippy::expect_used)]
         let (true_objective, positions, dp_objective) =
             // The largest tau in the sweep forces no coefficient, so that
             // run is always feasible and `best` is always populated.
-            // wsyn: allow(no-panic)
             best.expect("tau = 2^ceil(log rz) forces nothing, so at least one tau is feasible");
         let synopsis = SynopsisNd::from_positions(&self.tree, &positions);
         (
@@ -318,6 +318,9 @@ impl OnePlusEps {
                 stats: DpStats::default(),
             };
         }
+        // A float→int `as` cast saturates rather than wraps, so an
+        // out-of-range quotient cannot alias a small value.
+        #[allow(clippy::cast_possible_truncation)]
         let truncated: Vec<i64> = self
             .scaled
             .coeffs

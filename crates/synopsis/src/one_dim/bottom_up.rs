@@ -27,10 +27,10 @@ type Table = StateTable<Vec<f64>>;
 /// construction: every queried error is a subset sum of the child's
 /// ancestor chain).
 #[inline]
+#[allow(clippy::expect_used)]
 fn row(t: &Table, e: f64) -> &[f64] {
     t.get(u128::from(norm(e).to_bits()))
         // Every queried error was materialized when the table was built.
-        // wsyn: allow(no-panic)
         .expect("incoming error is a subset sum of the ancestor chain")
 }
 

@@ -473,6 +473,7 @@ impl Kernel<'_> {
     /// always holds a root-to-descendant dependency chain (node ids
     /// strictly increase downward), so its depth is bounded by the tree
     /// height.
+    #[allow(clippy::expect_used)]
     fn solve(&mut self, b: usize) -> f64 {
         let root = Frame {
             id: 0,
@@ -501,7 +502,6 @@ impl Kernel<'_> {
         self.memo
             .get(root_key)
             // The loop above terminates only once the root is memoized.
-            // wsyn: allow(no-panic)
             .expect("solve loop memoizes the root state")
             .value
     }
@@ -522,6 +522,7 @@ impl Kernel<'_> {
             }
             let b = fr.b as usize;
             let e = fr.e;
+            #[allow(clippy::expect_used)]
             let entry = *self
                 .memo
                 .get(pack_state_1d(fr.id, fr.b, e.to_bits()))
@@ -530,7 +531,6 @@ impl Kernel<'_> {
                 // probed (hence solved) when its parent's entry was
                 // computed, and warm entries are never cleared while
                 // the workspace token matches.
-                // wsyn: allow(no-panic)
                 .expect("trace visits only states materialized by solve");
             let c = self.tree.coeff(id);
             if id == 0 {

@@ -173,11 +173,11 @@ impl Solver<'_> {
             return;
         }
         let key = pack_state_1d(narrow_u32(id), narrow_u32(b), u64::from(mask));
+        #[allow(clippy::expect_used)]
         let entry = *self
             .memo
             .get(key)
             // Trace replays decisions along states solve() materialized.
-            // wsyn: allow(no-panic)
             .expect("trace visits only states materialized by solve");
         let bit = 1u32 << self.anc.len();
         self.anc.push(id);

@@ -6,7 +6,7 @@
 //! small instances; they are exponential and refuse domains with more than
 //! [`MAX_ORACLE_COEFFS`] non-zero coefficients.
 
-use wsyn_core::{is_zero, narrow_u32};
+use wsyn_core::is_zero;
 use wsyn_haar::{ErrorTree1d, ErrorTreeNd};
 
 use crate::metric::ErrorMetric;
@@ -95,10 +95,10 @@ fn search<F: FnMut(&[usize]) -> f64>(nonzero: &[usize], b: usize, mut eval: F) -
     );
     let mut best_mask = 0u32;
     let mut best = f64::INFINITY;
-    let total = 1u64 << nonzero.len();
+    // MAX_ORACLE_COEFFS < 32, so every mask fits in u32.
+    let total = 1u32 << nonzero.len();
     let mut subset = Vec::with_capacity(b);
     for mask in 0..total {
-        let mask = narrow_u32(mask as usize);
         if mask.count_ones() as usize > b {
             continue;
         }

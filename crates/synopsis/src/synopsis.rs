@@ -228,10 +228,10 @@ impl SynopsisNd {
         for &(p, v) in &self.entries {
             coeffs.data_mut()[p] = v;
         }
+        #[allow(clippy::expect_used)]
         nonstandard::inverse_in_place(&mut coeffs)
             // The shape was validated hypercube when the synopsis was
             // built; the inverse transform cannot fail on it.
-            // wsyn: allow(no-panic)
             .expect("synopsis shape is a validated hypercube");
         coeffs
     }

@@ -8,6 +8,10 @@
 //!
 //! Run with: `cargo run --release --example error_guarantees`
 
+// Examples are self-checking scripts: like tests, they abort loudly
+// on a broken invariant.
+#![allow(clippy::unwrap_used)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavelet_synopses::aqp::bounds;

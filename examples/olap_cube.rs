@@ -6,6 +6,10 @@
 //!
 //! Run with: `cargo run --release --example olap_cube`
 
+// Examples are self-checking scripts: like tests, they abort loudly
+// on a broken invariant.
+#![allow(clippy::unwrap_used)]
+
 use wavelet_synopses::aqp::QueryEngineNd;
 use wavelet_synopses::datagen::{cube_bumps, quantize_to_i64};
 use wavelet_synopses::haar::nd::{NdArray, NdShape};

@@ -6,6 +6,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+// Examples are self-checking scripts: like tests, they abort loudly
+// on a broken invariant.
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
 use wavelet_synopses::haar::{transform, ErrorTree1d};
 use wavelet_synopses::synopsis::greedy::greedy_l2_1d;
 use wavelet_synopses::synopsis::one_dim::MinMaxErr;

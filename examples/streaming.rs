@@ -9,6 +9,10 @@
 //!
 //! Run with: `cargo run --release --example streaming`
 
+// Examples are self-checking scripts: like tests, they abort loudly
+// on a broken invariant.
+#![allow(clippy::unwrap_used)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavelet_synopses::datagen::{zipf, ZipfPlacement};

@@ -51,6 +51,8 @@
 //! assert!((err - result.objective).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use wsyn_aqp as aqp;
 pub use wsyn_datagen as datagen;
 pub use wsyn_haar as haar;

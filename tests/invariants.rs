@@ -1,6 +1,9 @@
 //! Property-based cross-crate invariants (proptest): the structural facts
 //! the paper's analysis rests on, checked on random data.
 
+// Test code is exempt from the narrowing-cast lints.
+#![allow(clippy::cast_possible_truncation)]
+
 use proptest::prelude::*;
 use wavelet_synopses::haar::ErrorTree1d;
 use wavelet_synopses::synopsis::greedy::greedy_l2_1d;

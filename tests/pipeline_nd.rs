@@ -2,6 +2,10 @@
 //! datagen cubes → nonstandard error tree → approximate DPs → N-D query
 //! engine, verifying the theorems' guarantees end to end.
 
+// Test code is exempt from the panic lints: a failed `expect` or
+// `unwrap` is a failed test.
+#![allow(clippy::unwrap_used)]
+
 use wavelet_synopses::aqp::QueryEngineNd;
 use wavelet_synopses::datagen::{cube_bumps, quantize_to_i64};
 use wavelet_synopses::haar::nd::{NdArray, NdShape};
